@@ -26,6 +26,7 @@ from .exactla import IntPoly, char_poly, det_affine, det_exact, det_mod, hadamar
 from .charsums import (
     CyclotomicElt,
     EigenReport,
+    det_squares,
     eigen_verify,
     eigenvalue_exact,
     eigenvalue_float,
@@ -64,6 +65,7 @@ __all__ = [
     "det_affine",
     "det_exact",
     "det_mod",
+    "det_squares",
     "eigen_verify",
     "eigenvalue_exact",
     "eigenvalue_float",

@@ -1,13 +1,14 @@
-"""Multiplicative characters mod p, the eigenvalues of the squares matrix, and
-exact cyclotomic arithmetic in Z[zeta_{p-1}].
+"""Multiplicative characters mod p, the eigenvalues of the squares matrix,
+exact cyclotomic arithmetic in Z[zeta_{p-1}], and the squares-matrix
+determinant from its circulant structure.
 
 The eigenvalue of index k is lambda_k = sum_{j=1..n} ((1+j^2)/p) chi^k(j^2),
 chi a generator of the character group.  Two evaluation modes exist: exact
 cyclotomic (authoritative; coefficient vectors reduced mod x^(p-1) - 1 during
 arithmetic and canonicalized mod the cyclotomic polynomial only at comparison
 time) and high-precision floating (mpmath for the values, numpy for the
-eigenvector residual sweep).  Integrality claims are never decided by floats:
-they route through exact determinants.
+eigenvector residual sweep, both imported on first use).  Integrality claims
+are never decided by floats: they route through exact determinants.
 """
 
 from __future__ import annotations
@@ -15,12 +16,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-import mpmath
-import numpy as np
-
 from .exactla import det_exact
 from .matrices import squares_matrix
-from .ntcore import PrimeCtx, is_perfect_square
+from .ntcore import PrimeCtx, _factor_trial, is_perfect_square, is_prime
 
 EXACT_PMAX = 61          # cyclotomic arithmetic stays cheap up to here
 RESIDUAL_TOL = 1e-9      # float-mode eigenvector residual
@@ -142,6 +140,8 @@ class CyclotomicElt:
         return None
 
     def to_float(self, prec_bits: int = 128) -> mpmath.mpc:
+        import mpmath
+
         roots = _root_table(self.order, prec_bits)
         with mpmath.workprec(prec_bits):
             return sum(
@@ -170,6 +170,8 @@ class CharacterTable:
 
 @functools.lru_cache(maxsize=16)
 def _root_table(m: int, prec_bits: int):
+    import mpmath
+
     with mpmath.workprec(prec_bits):
         base = mpmath.expjpi(mpmath.mpf(2) / m)
         return tuple(base**t for t in range(m))
@@ -241,6 +243,9 @@ def eigen_verify(
     residual of the same identity in floating point.  Both check that the
     eigenvector matrix is nonsingular (the chi(j^2) are pairwise distinct).
     """
+    import mpmath
+    import numpy as np
+
     if ctx.cls != 1:
         raise ValueError(f"p={ctx.p} must be 1 (mod 4)")
     if exact is None:
@@ -297,12 +302,8 @@ def eigen_verify(
     )
 
 
-def product_identity(ctx: PrimeCtx) -> tuple[int, int]:
-    """(product of all lambda_k reduced to an integer, exact det of the matrix).
-
-    The two values are computed along fully independent routes: cyclotomic
-    multiplication on one side, Bareiss elimination on the other.
-    """
+def eigen_product(ctx: PrimeCtx) -> int:
+    """The product of all lambda_k, multiplied out in Z[zeta_{p-1}]."""
     if ctx.cls != 1:
         raise ValueError(f"p={ctx.p} must be 1 (mod 4)")
     m = ctx.p - 1
@@ -312,8 +313,86 @@ def product_identity(ctx: PrimeCtx) -> tuple[int, int]:
     prod = acc.as_int()
     if prod is None:
         raise ArithmeticError("eigenvalue product did not reduce to an integer")
-    det = det_exact(squares_matrix(ctx, 1))
-    return prod, det
+    return prod
+
+
+def product_identity(ctx: PrimeCtx) -> tuple[int, int]:
+    """(product of all lambda_k reduced to an integer, exact det of the matrix).
+
+    The two values are computed along fully independent routes: cyclotomic
+    multiplication on one side, Bareiss elimination on the other.
+    """
+    return eigen_product(ctx), det_exact(squares_matrix(ctx, 1))
+
+
+# Fourier primes q = 1 (mod n) are taken just below 2^62, far inside the range
+# where ntcore.is_prime is deterministic.
+_FOURIER_BITS = 62
+
+
+@functools.lru_cache(maxsize=4)
+def _fourier_tables(n: int) -> tuple[tuple[int, list[int]], ...]:
+    """Primes q = 1 (mod n) whose product exceeds 2 n^(n/2), each with its
+    table [w^j mod q] + [-w^j mod q] (j < n, w of order n mod q).
+
+    2 n^(n/2) bounds twice every |det| an n x n {-1, 0, 1} matrix can have.
+    """
+    factors = _factor_trial(n)
+    bound = 4 * n**n
+    tables = []
+    modulus = 1
+    m = ((1 << _FOURIER_BITS) - 2) // n
+    while modulus * modulus <= bound:
+        q = 1 + n * m
+        m -= 1
+        if not is_prime(q):
+            continue
+        for h in range(2, q):
+            w = pow(h, (q - 1) // n, q)
+            if all(pow(w, n // r, q) != 1 for r in factors):
+                break
+        powers = [1] * n
+        for j in range(1, n):
+            powers[j] = powers[j - 1] * w % q
+        tables.append((q, powers + [q - x for x in powers]))
+        modulus *= q
+    return tuple(tables)
+
+
+def det_squares(ctx: PrimeCtx, d: int) -> int:
+    """det S(d,p) = det [((i^2 + d j^2)/p)] from the matrix's circulant structure.
+
+    Ordering rows and columns alike by x_t = g^(2t) turns the matrix into the
+    circulant [c_((u-t) mod n)], c_s = ((1 + d g^(2s))/p), since
+    ((x + d y)/p) = ((1 + d y/x)/p) for a square x.  Its determinant is
+    prod_k sum_s c_s w^(ks) over the n-th roots of unity w^k; that product is
+    taken mod primes q = 1 (mod n) and the residues are combined by CRT until
+    the modulus exceeds 2 nz^(n/2), the Hadamard bound when every row has nz
+    nonzero entries.  Exact for every d and every odd prime.
+    """
+    p, n, sym = ctx.p, ctx.n, ctx.symbols
+    d %= p
+    g2 = ctx.g * ctx.g % p
+    coeffs = []
+    x = 1
+    for _ in range(n):
+        coeffs.append(sym[(1 + d * x) % p])
+        x = x * g2 % p
+    # c_s w^(ks) sits at k*s mod n in a Fourier table, n further on if c_s = -1
+    terms = [(s, 0 if c > 0 else n) for s, c in enumerate(coeffs) if c]
+    rows = [[k * s % n + off for s, off in terms] for k in range(n)]
+    bound = 4 * len(terms) ** n
+    modulus, res = 1, 0
+    for q, table in _fourier_tables(n):
+        if modulus * modulus > bound:
+            break
+        get = table.__getitem__
+        det_q = 1
+        for row in rows:
+            det_q = det_q * sum(map(get, row)) % q
+        res += modulus * ((det_q - res) * pow(modulus, -1, q) % q)
+        modulus *= q
+    return res if 2 * res < modulus else res - modulus
 
 
 def pair_product_square(ctx: PrimeCtx) -> tuple[int, int]:
@@ -342,6 +421,8 @@ def pair_product_square(ctx: PrimeCtx) -> tuple[int, int]:
 
 def row_identity_check(ctx: PrimeCtx) -> bool:
     """sum_i ((i^2+j^2)/p)(i/p) = -a (j/p) for every j = 1..n."""
+    import numpy as np
+
     if ctx.cls != 1 or ctx.decomp is None:
         raise ValueError(f"p={ctx.p} must be 1 (mod 4)")
     p, n = ctx.p, ctx.n

@@ -3,18 +3,19 @@ emits machine-readable results, and caches them for resumable re-runs.
 
 Each check produces CheckResult records whose witnesses are decimal strings
 that re-validate by independent scalar arithmetic (see revalidate).  Workers
-are pure functions of (check_id, p, options), so primes parallelize cleanly;
-results are always emitted in deterministic order.
+are pure functions of (check_id, p, options).  The checks of one prime share
+its PrimeWork, so run() hands out one job per prime; results are always
+emitted in deterministic order.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -113,21 +114,60 @@ def default_d_list(p: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
+# per-prime shared work
+# ---------------------------------------------------------------------------
+
+
+class PrimeWork:
+    """One prime's context and its squares-matrix determinants S(d,p), each
+    computed once.
+
+    S(1,p) comes from Bareiss elimination (det_exact); every other d comes
+    from the circulant route (charsums.det_squares).  theorem-a compares the
+    two routes.
+    """
+
+    def __init__(self, p: int):
+        self.ctx = PrimeCtx.for_prime(p)
+        self._dets: dict[int, int] = {}
+
+    def det(self, d: int) -> int:
+        d %= self.ctx.p
+        if d not in self._dets:
+            if d == 1:
+                self._dets[d] = det_exact(squares_matrix(self.ctx, 1))
+            else:
+                self._dets[d] = charsums.det_squares(self.ctx, d)
+        return self._dets[d]
+
+    @property
+    def s1(self) -> int:
+        return self.det(1)
+
+
+@functools.lru_cache(maxsize=1)
+def prime_work(p: int) -> PrimeWork:
+    """The PrimeWork of p; the last one is kept, so the checks of one prime
+    run back to back share it."""
+    return PrimeWork(p)
+
+
+def _d_list(p: int, opts: dict) -> list[int]:
+    return list(dict.fromkeys(d % p for d in (opts.get("d_list") or default_d_list(p))))
+
+
+# ---------------------------------------------------------------------------
 # per-prime check workers
 # ---------------------------------------------------------------------------
 
 
-def _check_theorem_a(p: int, opts: dict) -> list[CheckResult]:
-    ctx = PrimeCtx.for_prime(p)
+def _check_theorem_a(work: PrimeWork, opts: dict) -> list[CheckResult]:
+    ctx, p = work.ctx, work.ctx.p
     a = ctx.decomp.a
-    if opts.get("full_sweep"):
-        d_list = list(range(p))
-    else:
-        d_list = [d % p for d in (opts.get("d_list") or default_d_list(p))]
-    s1 = None
+    d_list = list(range(p)) if opts.get("full_sweep") else _d_list(p, opts)
     out = []
-    for d in dict.fromkeys(d_list):
-        s_val = det_exact(squares_matrix(ctx, d))
+    for d in d_list:
+        s_val = work.det(d)
         eps = ctx.epsilon(d)
         wit = {"S": str(s_val), "a": str(a), "eps": str(eps)}
         quotient, rem = divmod(eps * s_val, a)
@@ -139,22 +179,22 @@ def _check_theorem_a(p: int, opts: dict) -> list[CheckResult]:
         if ld == -1:
             ok = ok and s_val == 0
         elif ld == 1:
-            if s1 is None:
-                s1 = s_val if d == 1 else det_exact(squares_matrix(ctx, 1))
             sign = perm_sign_cycles(ctx, d)
             wit["sign"] = str(sign)
-            wit["S1"] = str(s1)
-            ok = ok and s_val == sign * s1
+            wit["S1"] = str(work.s1)
+            # the circulant S(d,p) against sign * the Bareiss S(1,p)
+            circulant = charsums.det_squares(ctx, 1) if d == 1 else s_val
+            ok = ok and circulant == sign * work.s1
         out.append(
             CheckResult("theorem-a", p, {"d": d}, "pass" if ok else "fail", wit)
         )
     return out
 
 
-def _check_corollary_a(p: int, opts: dict) -> list[CheckResult]:
-    ctx = PrimeCtx.for_prime(p)
+def _check_corollary_a(work: PrimeWork, opts: dict) -> list[CheckResult]:
+    ctx, p = work.ctx, work.ctx.p
     a = ctx.decomp.a
-    s_val = det_exact(squares_matrix(ctx, 1))
+    s_val = work.s1
     star = det_exact(squares_star_matrix(ctx))
     root = is_perfect_square(-star)
     ok = root is not None and star * a == -s_val
@@ -164,9 +204,8 @@ def _check_corollary_a(p: int, opts: dict) -> list[CheckResult]:
     return [CheckResult("corollary-a", p, None, "pass" if ok else "fail", wit)]
 
 
-def _check_conjecture_a(p: int, opts: dict) -> list[CheckResult]:
-    ctx = PrimeCtx.for_prime(p)
-    s_val = det_exact(squares_matrix(ctx, 1))
+def _check_conjecture_a(work: PrimeWork, opts: dict) -> list[CheckResult]:
+    p, s_val = work.ctx.p, work.s1
     root = is_perfect_square(-s_val)
     wit = {"S": str(s_val)}
     if root is not None:
@@ -174,8 +213,8 @@ def _check_conjecture_a(p: int, opts: dict) -> list[CheckResult]:
     return [CheckResult("conjecture-a", p, None, "pass" if root is not None else "fail", wit)]
 
 
-def _check_lemma_sign(p: int, opts: dict) -> list[CheckResult]:
-    ctx = PrimeCtx.for_prime(p)
+def _check_lemma_sign(work: PrimeWork, opts: dict) -> list[CheckResult]:
+    ctx, p = work.ctx, work.ctx.p
     mismatches = 0
     first_bad = None
     count = 0
@@ -192,10 +231,9 @@ def _check_lemma_sign(p: int, opts: dict) -> list[CheckResult]:
     return [CheckResult("lemma-sign", p, None, "pass" if mismatches == 0 else "fail", wit)]
 
 
-def _check_eigen(p: int, opts: dict) -> list[CheckResult]:
-    report = charsums.eigen_verify(
-        PrimeCtx.for_prime(p), prec_bits=opts.get("precision_bits", 128)
-    )
+def _check_eigen(work: PrimeWork, opts: dict) -> list[CheckResult]:
+    p = work.ctx.p
+    report = charsums.eigen_verify(work.ctx, prec_bits=opts.get("precision_bits", 128))
     wit = {
         "mode": report.mode,
         "residual": repr(report.residual),
@@ -205,22 +243,23 @@ def _check_eigen(p: int, opts: dict) -> list[CheckResult]:
     return [CheckResult("eigen", p, None, "pass" if report.ok else "fail", wit)]
 
 
-def _check_product(p: int, opts: dict) -> list[CheckResult]:
-    prod, det = charsums.product_identity(PrimeCtx.for_prime(p))
+def _check_product(work: PrimeWork, opts: dict) -> list[CheckResult]:
+    p = work.ctx.p
+    prod, det = charsums.eigen_product(work.ctx), work.s1
     wit = {"prod": str(prod), "det": str(det)}
     return [CheckResult("product", p, None, "pass" if prod == det else "fail", wit)]
 
 
-def _check_jacobsthal(p: int, opts: dict) -> list[CheckResult]:
-    ctx = PrimeCtx.for_prime(p)
+def _check_jacobsthal(work: PrimeWork, opts: dict) -> list[CheckResult]:
+    ctx, p = work.ctx, work.ctx.p
     s = jacobsthal_sum(ctx)
     a = ctx.decomp.a
     wit = {"sum": str(s), "a": str(a)}
     return [CheckResult("jacobsthal", p, None, "pass" if s == -a else "fail", wit)]
 
 
-def _check_row_identity(p: int, opts: dict) -> list[CheckResult]:
-    ctx = PrimeCtx.for_prime(p)
+def _check_row_identity(work: PrimeWork, opts: dict) -> list[CheckResult]:
+    ctx, p = work.ctx, work.ctx.p
     ok = charsums.row_identity_check(ctx)
     wit = {"a": str(ctx.decomp.a), "j_count": str(ctx.n)}
     return [CheckResult("row-identity", p, None, "pass" if ok else "fail", wit)]
@@ -232,8 +271,8 @@ def _carlitz_expected(p: int) -> IntPoly:
     return quad ** ((p - 3) // 2) * IntPoly.make((-sgn, 0, 1))
 
 
-def _check_carlitz(p: int, opts: dict) -> list[CheckResult]:
-    ctx = PrimeCtx.for_prime(p)
+def _check_carlitz(work: PrimeWork, opts: dict) -> list[CheckResult]:
+    ctx, p = work.ctx, work.ctx.p
     actual = char_poly(carlitz_matrix(ctx))
     expected = _carlitz_expected(p)
     wit = {
@@ -243,9 +282,9 @@ def _check_carlitz(p: int, opts: dict) -> list[CheckResult]:
     return [CheckResult("carlitz", p, None, "pass" if actual == expected else "fail", wit)]
 
 
-def _check_chapman(p: int, opts: dict, star: bool) -> list[CheckResult]:
+def _check_chapman(work: PrimeWork, opts: dict, star: bool) -> list[CheckResult]:
     check_id = "chapman-star" if star else "chapman"
-    ctx = PrimeCtx.for_prime(p)
+    ctx, p = work.ctx, work.ctx.p
     actual = det_affine(chapman_matrix(ctx, star))
     data = None
     wit: dict[str, str] = {}
@@ -265,14 +304,13 @@ def _check_chapman(p: int, opts: dict, star: bool) -> list[CheckResult]:
     return [CheckResult(check_id, p, None, "pass" if actual == expected else "fail", wit)]
 
 
-def _check_sun_zero(p: int, opts: dict) -> list[CheckResult]:
-    ctx = PrimeCtx.for_prime(p)
-    d_list = [d % p for d in (opts.get("d_list") or default_d_list(p))]
+def _check_sun_zero(work: PrimeWork, opts: dict) -> list[CheckResult]:
+    ctx, p = work.ctx, work.ctx.p
     out = []
-    for d in dict.fromkeys(d_list):
+    for d in _d_list(p, opts):
         if ctx.legendre(d) != -1:
             continue
-        s_val = det_exact(squares_matrix(ctx, d))
+        s_val = work.det(d)
         wit = {"S": str(s_val)}
         out.append(
             CheckResult("sun-zero", p, {"d": d}, "pass" if s_val == 0 else "fail", wit)
@@ -280,14 +318,13 @@ def _check_sun_zero(p: int, opts: dict) -> list[CheckResult]:
     return out
 
 
-def _check_sun_qr(p: int, opts: dict) -> list[CheckResult]:
-    ctx = PrimeCtx.for_prime(p)
-    d_list = [d % p for d in (opts.get("d_list") or default_d_list(p))]
+def _check_sun_qr(work: PrimeWork, opts: dict) -> list[CheckResult]:
+    ctx, p = work.ctx, work.ctx.p
     out = []
-    for d in dict.fromkeys(d_list):
+    for d in _d_list(p, opts):
         if ctx.legendre(d) != 1:
             continue
-        s_val = det_exact(squares_matrix(ctx, d))
+        s_val = work.det(d)
         ok = ctx.legendre(-s_val) >= 0
         wit = {"S": str(s_val), "legendre_negS": str(ctx.legendre(-s_val))}
         out.append(
@@ -306,8 +343,8 @@ _WORKERS = {
     "jacobsthal": _check_jacobsthal,
     "row-identity": _check_row_identity,
     "carlitz": _check_carlitz,
-    "chapman": lambda p, opts: _check_chapman(p, opts, star=False),
-    "chapman-star": lambda p, opts: _check_chapman(p, opts, star=True),
+    "chapman": lambda work, opts: _check_chapman(work, opts, star=False),
+    "chapman-star": lambda work, opts: _check_chapman(work, opts, star=True),
     "sun-zero": _check_sun_zero,
     "sun-qr": _check_sun_qr,
 }
@@ -325,7 +362,7 @@ def run_check(check_id: str, p: int, opts: dict | None = None) -> list[CheckResu
     """Run one check for one prime; pure, deterministic, picklable."""
     if check_id not in _WORKERS:
         raise ValueError(f"unknown check {check_id!r}")
-    return _WORKERS[check_id](p, opts or {})
+    return _WORKERS[check_id](prime_work(p), opts or {})
 
 
 # ---------------------------------------------------------------------------
@@ -338,26 +375,25 @@ def verify_theorem_a(pmax: int, d_list=None, full_sweep: bool = False):
     vanishing and sign-transport side conditions."""
     opts = {"d_list": d_list, "full_sweep": full_sweep}
     for p in applicable_primes("theorem-a", pmax):
-        yield from _check_theorem_a(p, opts)
+        yield from run_check("theorem-a", p, opts)
 
 
 def verify_corollary_a(pmax: int):
     for p in applicable_primes("corollary-a", pmax):
-        yield from _check_corollary_a(p, {})
+        yield from run_check("corollary-a", p)
 
 
 def verify_conjecture_a(pmax: int):
     for p in applicable_primes("conjecture-a", pmax):
-        yield from _check_conjecture_a(p, {})
+        yield from run_check("conjecture-a", p)
 
 
 def verify_background(pmax: int, precision_bits: int = 128):
     """Carlitz characteristic polynomial and both Chapman variants per prime."""
     opts = {"precision_bits": precision_bits}
     for p in applicable_primes("carlitz", pmax):
-        yield from _check_carlitz(p, opts)
-        yield from _check_chapman(p, opts, star=False)
-        yield from _check_chapman(p, opts, star=True)
+        for check_id in ("carlitz", "chapman", "chapman-star"):
+            yield from run_check(check_id, p, opts)
 
 
 # ---------------------------------------------------------------------------
@@ -452,17 +488,32 @@ def code_version() -> str:
 class ResultCache:
     """Append-only JSON Lines cache, one line per task, keyed by
     (check_id, p, params, code version).  Stale-version lines are kept but
-    ignored on load."""
+    ignored on load.  An unparsable last line, as an interrupted write leaves,
+    is skipped with a warning and cut off before the next append; an
+    unparsable line anywhere else raises."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self.version = code_version()
         self._records: dict[str, list[dict]] = {}
+        self._torn_at: int | None = None     # byte offset of a torn last line
         if self.path.exists():
-            for line in self.path.read_text().splitlines():
+            lines = self.path.read_bytes().splitlines(keepends=True)
+            last = max((i for i, line in enumerate(lines) if line.strip()), default=-1)
+            offset = 0
+            for i, line in enumerate(lines):
+                start, offset = offset, offset + len(line)
                 if not line.strip():
                     continue
-                rec = json.loads(line)
+                try:
+                    rec = json.loads(line)
+                except ValueError:                  # bad JSON or bad UTF-8
+                    if i != last:
+                        raise
+                    print(f"warning: {self.path}: skipping a torn last line",
+                          file=sys.stderr)
+                    self._torn_at = start
+                    continue
                 if rec.get("version") != self.version:
                     continue
                 self._records[rec["task"]] = rec["results"]
@@ -476,6 +527,10 @@ class ResultCache:
     def put(self, task_key: str, results: list[CheckResult]) -> None:
         recs = [r.to_record() for r in results]
         self._records[task_key] = recs
+        if self._torn_at is not None:
+            with self.path.open("r+b") as fh:
+                fh.truncate(self._torn_at)
+            self._torn_at = None
         with self.path.open("a") as fh:
             fh.write(
                 json.dumps(
@@ -507,9 +562,10 @@ def _task_key(check_id: str, p: int, opts: dict) -> str:
     return f"{check_id}|{p}|{json.dumps(rel, sort_keys=True)}"
 
 
-def _run_task(args) -> list[CheckResult]:
-    check_id, p, opts = args
-    return run_check(check_id, p, opts)
+def _run_job(job) -> list[list[CheckResult]]:
+    """Every task of one prime, in order, sharing the prime's PrimeWork."""
+    p, check_ids, opts = job
+    return [run_check(check_id, p, opts) for check_id in check_ids]
 
 
 def _emit(result: CheckResult, fmt: str, out) -> None:
@@ -548,31 +604,39 @@ def run(config: RunConfig, out=None) -> int:
     for check_id in config.checks:
         pmax = config.pmax if config.pmax is not None else default_pmax(check_id)
         for p in applicable_primes(check_id, pmax):
-            tasks.append((check_id, p, opts))
+            tasks.append((check_id, p))
 
     if config.fmt == "csv":
         out.write("check_id,p,params,status,witness\n")
 
     results_by_task: dict[int, list[CheckResult]] = {}
-    pending = []
-    for idx, task in enumerate(tasks):
-        key = _task_key(task[0], task[1], task[2])
+    pending: dict[int, list[tuple[int, str, str]]] = {}    # p -> (idx, key, check)
+    for idx, (check_id, p) in enumerate(tasks):
+        key = _task_key(check_id, p, opts)
         cached = cache.get(key) if cache else None
         if cached is not None:
             results_by_task[idx] = cached
         else:
-            pending.append((idx, key, task))
+            pending.setdefault(p, []).append((idx, key, check_id))
 
-    if pending:
-        if config.jobs > 1:
-            with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-                computed = list(pool.map(_run_task, [t for _, _, t in pending]))
-        else:
-            computed = [_run_task(t) for _, _, t in pending]
-        for (idx, key, _), results in zip(pending, computed):
+    def finish(p: int, computed: list[list[CheckResult]]) -> None:
+        for (idx, key, _), results in zip(pending[p], computed):
             results_by_task[idx] = results
             if cache:
                 cache.put(key, results)
+
+    # one job per prime, largest first: its checks share one PrimeWork
+    jobs = [(p, [c for _, _, c in pending[p]], opts) for p in sorted(pending, reverse=True)]
+    if config.jobs > 1 and jobs:
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+
+        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+            futures = {pool.submit(_run_job, job): job[0] for job in jobs}
+            for fut in as_completed(futures):
+                finish(futures[fut], fut.result())
+    else:
+        for job in jobs:
+            finish(job[0], _run_job(job))
 
     counts = {"pass": 0, "fail": 0, "skipped": 0}
     for idx in range(len(tasks)):

@@ -4,16 +4,14 @@ verification of the Chapman determinant closed forms.
 Units are stored as integer pairs (u, v) meaning (u + v sqrt(p))/2 with
 u = v (mod 2); the pair multiplication law keeps half-integers exact.  The
 class number is the only floating-point computation in the package: the
-Dirichlet sine-product formula evaluated in mpmath, guarded by an integrality
-gap and an automatic precision-doubling retry.
+Dirichlet sine-product formula evaluated in mpmath (imported on first use),
+guarded by an integrality gap and an automatic precision-doubling retry.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import mpmath
 
 from .exactla import IntPoly, det_affine
 from .matrices import chapman_matrix
@@ -125,6 +123,8 @@ def class_number(p: int, precision_bits: int = 128) -> int:
     If the value is too close to a rounding boundary the computation retries
     at doubled precision.
     """
+    import mpmath
+
     if p % 4 != 1:
         raise ValueError(f"p={p} must be 1 (mod 4)")
     eps = fundamental_unit(p)

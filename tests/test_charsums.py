@@ -7,6 +7,8 @@ from legdet.charsums import (
     CharacterTable,
     CyclotomicElt,
     cyclotomic_polynomial,
+    det_squares,
+    eigen_product,
     eigen_verify,
     eigenvalue_exact,
     eigenvalue_float,
@@ -14,7 +16,7 @@ from legdet.charsums import (
     product_identity,
     row_identity_check,
 )
-from legdet.exactla import det_exact
+from legdet.exactla import det_exact, det_mod
 from legdet.matrices import squares_matrix
 from legdet.ntcore import PrimeCtx
 
@@ -127,6 +129,24 @@ def test_product_identity():
     assert product_identity(PrimeCtx.for_prime(17)) == (441, 441)
     prod, det = product_identity(PrimeCtx.for_prime(29))
     assert prod == det
+    assert eigen_product(PrimeCtx.for_prime(29)) == prod
+
+
+def test_det_squares_matches_bareiss_for_every_d():
+    # both prime classes, every d including 0 and the non-residues
+    for p in oracle_primes(3, 119):
+        ctx = PrimeCtx.for_prime(p)
+        for d in range(p):
+            assert det_squares(ctx, d) == det_exact(squares_matrix(ctx, d)), (p, d)
+
+
+def test_det_squares_matches_modular_oracle_at_p401():
+    q = (1 << 61) - 1
+    ctx = PrimeCtx.for_prime(401)
+    residue, non_residue = 4, 3
+    assert oracle_legendre(residue, 401) == 1 and oracle_legendre(non_residue, 401) == -1
+    for d in (1, residue, non_residue):
+        assert det_squares(ctx, d) % q == det_mod(squares_matrix(ctx, d), q), d
 
 
 def test_pair_product_square():

@@ -1,7 +1,12 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import legdet
 from legdet.cli import main as cli_main
 from legdet.harness import (
     CHECK_IDS,
@@ -197,11 +202,84 @@ def test_cache_covers_empty_result_tasks(tmp_path):
     assert warm.get(key) == []
 
 
+DET_CHECKS = ("theorem-a", "corollary-a", "conjecture-a", "product", "sun-zero", "sun-qr")
+
+
 def test_parallel_matches_serial():
     serial, parallel = io.StringIO(), io.StringIO()
-    run(RunConfig(checks=("corollary-a",), pmax=29, fmt="json", jobs=1), serial)
-    run(RunConfig(checks=("corollary-a",), pmax=29, fmt="json", jobs=2), parallel)
+    d_list = [1, 2, 3, 5, -1, 7, 10]
+    run(RunConfig(checks=DET_CHECKS, pmax=61, fmt="json", jobs=1, d_list=d_list), serial)
+    run(RunConfig(checks=DET_CHECKS, pmax=61, fmt="json", jobs=2, d_list=d_list), parallel)
     assert serial.getvalue() == parallel.getvalue()
+    assert "sun-zero" in serial.getvalue() and "sun-qr" in serial.getvalue()
+
+
+def test_cache_skips_a_torn_last_line(tmp_path, capsys):
+    cache = tmp_path / "c.jsonl"
+    args = ["verify", "--what", "corollary-a,jacobsthal", "--pmax", "17",
+            "--format", "json"]
+    assert cli_main(args) == 0
+    uncached = capsys.readouterr().out
+    assert cli_main(args + ["--cache", str(cache)]) == 0
+    capsys.readouterr()
+    first, second = cache.read_text().splitlines()[:2]
+    cache.write_text(first + "\n" + second[: len(second) // 2])    # an interrupted write
+    for _ in range(2):
+        assert cli_main(args + ["--cache", str(cache)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == uncached
+    # the first re-run warned, and replaced the fragment with a whole line
+    for line in cache.read_text().splitlines():
+        json.loads(line)
+    cache.write_text(first[:10] + "\n" + second + "\n")    # not the last line
+    assert cli_main(args + ["--cache", str(cache)]) == 2
+
+
+def test_torn_last_line_warns_on_stderr(tmp_path, capsys):
+    from legdet.harness import ResultCache
+
+    cache = tmp_path / "c.jsonl"
+    cache.write_text('{"version": "x", "task"')
+    ResultCache(cache)
+    assert "torn last line" in capsys.readouterr().err
+
+
+def test_interrupted_run_keeps_finished_primes(tmp_path, monkeypatch):
+    from legdet import harness
+
+    cache = tmp_path / "c.jsonl"
+    config = RunConfig(checks=("corollary-a", "jacobsthal"), pmax=29, fmt="json",
+                       cache_path=str(cache))
+
+    def interrupted(check_id, p, opts=None):
+        if p == 13:
+            raise KeyboardInterrupt
+        return run_check(check_id, p, opts)
+
+    monkeypatch.setattr(harness, "run_check", interrupted)
+    try:
+        run(config, io.StringIO())
+    except KeyboardInterrupt:
+        pass
+    monkeypatch.undo()
+    # primes run largest first, each written as it finishes
+    done = [json.loads(line)["task"].split("|")[:2] for line in cache.read_text().splitlines()]
+    assert sorted(done) == sorted([c, str(p)] for c in config.checks for p in (17, 29))
+    resumed, fresh = io.StringIO(), io.StringIO()
+    assert run(config, resumed) == 0
+    assert cache.read_text().count("\n") == 8
+    run(RunConfig(checks=config.checks, pmax=29, fmt="json"), fresh)
+    assert resumed.getvalue() == fresh.getvalue()
+
+
+def test_cli_import_leaves_numpy_and_mpmath_unloaded():
+    code = ("import sys, legdet.cli; "
+            "print(sorted(m for m in ('numpy', 'mpmath') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(legdet.__file__).parent.parent), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_cli_det(capsys):
