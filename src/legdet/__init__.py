@@ -11,7 +11,6 @@ from .ntcore import (
     legendre,
     perm_sign_cycles,
     perm_sign_formula,
-    two_square_decompose,
 )
 from .matrices import (
     AffineMatrix,
@@ -29,7 +28,6 @@ from .charsums import (
     det_squares,
     eigen_verify,
     eigenvalue_exact,
-    eigenvalue_float,
     pair_product_square,
     product_identity,
     row_identity_check,
@@ -68,7 +66,6 @@ __all__ = [
     "det_squares",
     "eigen_verify",
     "eigenvalue_exact",
-    "eigenvalue_float",
     "evil_matrix",
     "fundamental_unit",
     "hadamard_bound",
@@ -85,7 +82,6 @@ __all__ = [
     "run_check",
     "squares_matrix",
     "squares_star_matrix",
-    "two_square_decompose",
 ]
 
 __version__ = "0.1.0"

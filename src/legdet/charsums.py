@@ -1,6 +1,6 @@
-"""Multiplicative characters mod p, the eigenvalues of the squares matrix,
-exact cyclotomic arithmetic in Z[zeta_{p-1}], and the squares-matrix
-determinant from its circulant structure.
+"""The eigenvalues of the squares matrix as character sums, exact cyclotomic
+arithmetic in Z[zeta_{p-1}], and the squares-matrix determinant from its
+circulant structure.
 
 The eigenvalue of index k is lambda_k = sum_{j=1..n} ((1+j^2)/p) chi^k(j^2),
 chi a generator of the character group.  Two evaluation modes exist: exact
@@ -150,24 +150,6 @@ class CyclotomicElt:
             )
 
 
-class CharacterTable:
-    """The characters chi^k of (Z/pZ)^*, chi(x) = zeta_{p-1}^dlog(x).
-
-    Values are stored as exponents: chi^k(x) = zeta^(k*dlog(x) mod p-1), and
-    chi^k(0) = 0 by convention (exponent None).
-    """
-
-    def __init__(self, ctx: PrimeCtx):
-        self.ctx = ctx
-        self.order = ctx.p - 1
-
-    def exponent(self, k: int, x: int) -> int | None:
-        x %= self.ctx.p
-        if x == 0:
-            return None
-        return (k * self.ctx.dlog[x]) % self.order
-
-
 @functools.lru_cache(maxsize=16)
 def _root_table(m: int, prec_bits: int):
     import mpmath
@@ -189,11 +171,6 @@ def eigenvalue_exact(ctx: PrimeCtx, k: int) -> CyclotomicElt:
         if c:
             vec[(2 * k * dlog[j]) % m] += c
     return CyclotomicElt(m, tuple(vec))
-
-
-def eigenvalue_float(ctx: PrimeCtx, k: int, prec_bits: int = 128) -> mpmath.mpc:
-    """lambda_k as a high-precision complex number."""
-    return eigenvalue_exact(ctx, k).to_float(prec_bits)
 
 
 @dataclass(frozen=True)

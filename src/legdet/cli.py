@@ -13,7 +13,7 @@ import sys
 
 from . import charsums
 from .exactla import det_affine, det_exact
-from .harness import CHECK_IDS, RunConfig, run
+from .harness import CHECK_IDS, CHECKS, RunConfig, run
 from .matrices import (
     carlitz_matrix,
     chapman_matrix,
@@ -24,6 +24,17 @@ from .matrices import (
 from .ntcore import PrimeCtx
 
 
+def _pmax_help() -> str:
+    """The --pmax help, with each check's default ceiling from the registry."""
+    by_pmax: dict[int, list[str]] = {}
+    for check in CHECKS.values():
+        by_pmax.setdefault(check.pmax, []).append(check.id)
+    common = max(by_pmax, key=lambda pmax: len(by_pmax[pmax]))
+    others = "; ".join(f"{pmax} for {', '.join(ids)}"
+                       for pmax, ids in by_pmax.items() if pmax != common)
+    return f"largest prime; defaults to {common} ({others})"
+
+
 def _parse_args(argv):
     top = argparse.ArgumentParser(prog="legdet")
     sub = top.add_subparsers(dest="command", required=True)
@@ -31,8 +42,7 @@ def _parse_args(argv):
     v = sub.add_parser("verify", help="run identity checks over a prime range")
     v.add_argument("--what", default="all",
                    help="comma-separated check ids, or 'all' (default)")
-    v.add_argument("--pmax", type=int, default=None,
-                   help="largest prime; defaults to 200 (2000 for scalar checks)")
+    v.add_argument("--pmax", type=int, default=None, help=_pmax_help())
     v.add_argument("--d", default=None,
                    help="comma-separated d values for the d-indexed checks")
     v.add_argument("--jobs", type=int, default=1)
@@ -66,6 +76,9 @@ def _cmd_verify(args) -> int:
         if unknown:
             print(f"unknown checks: {', '.join(unknown)}", file=sys.stderr)
             return 2
+    if args.jobs < 1:
+        print(f"--jobs must be at least 1, not {args.jobs}", file=sys.stderr)
+        return 2
     d_list = None
     if args.d:
         d_list = [int(x) for x in args.d.split(",")]

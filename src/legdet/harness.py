@@ -1,11 +1,12 @@
 """Range verification harness: runs every identity check over ranges of primes,
 emits machine-readable results, and caches them for resumable re-runs.
 
-Each check produces CheckResult records whose witnesses are decimal strings
-that re-validate by independent scalar arithmetic (see revalidate).  Workers
-are pure functions of (check_id, p, options).  The checks of one prime share
-its PrimeWork, so run() hands out one job per prime; results are always
-emitted in deterministic order.
+Each check is one record in CHECKS: the primes it covers, its default prime
+ceiling, its worker and its re-validator.  A worker is a pure function of
+(PrimeWork, options) that produces CheckResult records whose witnesses are
+decimal strings; the re-validator re-checks them by independent scalar
+arithmetic.  The checks of one prime share its PrimeWork, so run() hands out
+one job per prime; results are always emitted in deterministic order.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import hashlib
 import json
 import random
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,44 +31,6 @@ from .ntcore import (
     perm_sign_cycles,
     perm_sign_formula,
     jacobsthal_sum,
-)
-
-CHECK_IDS = (
-    "theorem-a",
-    "corollary-a",
-    "conjecture-a",
-    "lemma-sign",
-    "eigen",
-    "product",
-    "jacobsthal",
-    "row-identity",
-    "carlitz",
-    "chapman",
-    "chapman-star",
-    "sun-zero",
-    "sun-qr",
-)
-
-# Default prime ceilings: determinant-heavy checks stop early, scalar checks go
-# far.  carlitz builds a (p-1)-dimensional characteristic polynomial (p+1 full
-# determinants per prime), so its default is capped lower to keep the default
-# run fast.
-SCALAR_CHECKS = frozenset({"jacobsthal", "lemma-sign", "row-identity"})
-DEFAULT_PMAX_DET = 200
-DEFAULT_PMAX_SCALAR = 2000
-DEFAULT_PMAX_CARLITZ = 47
-
-
-def default_pmax(check_id: str) -> int:
-    if check_id == "carlitz":
-        return DEFAULT_PMAX_CARLITZ
-    if check_id in SCALAR_CHECKS:
-        return DEFAULT_PMAX_SCALAR
-    return DEFAULT_PMAX_DET
-
-_MOD1_CHECKS = frozenset(
-    {"theorem-a", "corollary-a", "lemma-sign", "eigen", "product", "jacobsthal",
-     "row-identity", "sun-zero", "sun-qr"}
 )
 
 
@@ -106,11 +70,7 @@ def default_d_list(p: int) -> list[int]:
     rng = random.Random(f"legdet-d-{p}")
     ds = [1 % p, 2 % p, 3 % p, 5 % p, (p - 1) % p]
     ds += [rng.randrange(p) for _ in range(8)]
-    seen: list[int] = []
-    for d in ds:
-        if d not in seen:
-            seen.append(d)
-    return seen
+    return list(dict.fromkeys(ds))
 
 
 # ---------------------------------------------------------------------------
@@ -140,10 +100,6 @@ class PrimeWork:
                 self._dets[d] = charsums.det_squares(self.ctx, d)
         return self._dets[d]
 
-    @property
-    def s1(self) -> int:
-        return self.det(1)
-
 
 @functools.lru_cache(maxsize=1)
 def prime_work(p: int) -> PrimeWork:
@@ -157,7 +113,8 @@ def _d_list(p: int, opts: dict) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# per-prime check workers
+# per-prime check workers, each followed by its re-validator, which re-checks
+# a pass witness by its own arithmetic, not by the worker's pass predicate
 # ---------------------------------------------------------------------------
 
 
@@ -181,20 +138,37 @@ def _check_theorem_a(work: PrimeWork, opts: dict) -> list[CheckResult]:
         elif ld == 1:
             sign = perm_sign_cycles(ctx, d)
             wit["sign"] = str(sign)
-            wit["S1"] = str(work.s1)
+            wit["S1"] = str(work.det(1))
             # the circulant S(d,p) against sign * the Bareiss S(1,p)
             circulant = charsums.det_squares(ctx, 1) if d == 1 else s_val
-            ok = ok and circulant == sign * work.s1
+            ok = ok and circulant == sign * work.det(1)
         out.append(
             CheckResult("theorem-a", p, {"d": d}, "pass" if ok else "fail", wit)
         )
     return out
 
 
+def _revalidate_theorem_a(r: CheckResult) -> bool:
+    ctx, d, w = PrimeCtx.for_prime(r.p), r.params["d"], r.witness
+    s_val, a, eps = int(w["S"]), int(w["a"]), int(w["eps"])
+    if ctx.epsilon(d) != eps or ctx.decomp.a != a:
+        return False
+    quotient, rem = divmod(eps * s_val, a)
+    if rem != 0 or int(w["root"]) ** 2 != quotient:
+        return False
+    ld = ctx.legendre(d)
+    if ld == -1:
+        return s_val == 0
+    if ld == 1:
+        sign = int(w["sign"])
+        return sign == perm_sign_cycles(ctx, d) and s_val == sign * int(w["S1"])
+    return True
+
+
 def _check_corollary_a(work: PrimeWork, opts: dict) -> list[CheckResult]:
     ctx, p = work.ctx, work.ctx.p
     a = ctx.decomp.a
-    s_val = work.s1
+    s_val = work.det(1)
     star = det_exact(squares_star_matrix(ctx))
     root = is_perfect_square(-star)
     ok = root is not None and star * a == -s_val
@@ -204,8 +178,14 @@ def _check_corollary_a(work: PrimeWork, opts: dict) -> list[CheckResult]:
     return [CheckResult("corollary-a", p, None, "pass" if ok else "fail", wit)]
 
 
+def _revalidate_corollary_a(r: CheckResult) -> bool:
+    w = r.witness
+    star, s_val, a = int(w["Sstar"]), int(w["S"]), int(w["a"])
+    return int(w["root"]) ** 2 == -star and star * a == -s_val
+
+
 def _check_conjecture_a(work: PrimeWork, opts: dict) -> list[CheckResult]:
-    p, s_val = work.ctx.p, work.s1
+    p, s_val = work.ctx.p, work.det(1)
     root = is_perfect_square(-s_val)
     wit = {"S": str(s_val)}
     if root is not None:
@@ -213,22 +193,22 @@ def _check_conjecture_a(work: PrimeWork, opts: dict) -> list[CheckResult]:
     return [CheckResult("conjecture-a", p, None, "pass" if root is not None else "fail", wit)]
 
 
+def _revalidate_conjecture_a(r: CheckResult) -> bool:
+    return int(r.witness["root"]) ** 2 == -int(r.witness["S"])
+
+
 def _check_lemma_sign(work: PrimeWork, opts: dict) -> list[CheckResult]:
     ctx, p = work.ctx, work.ctx.p
-    mismatches = 0
-    first_bad = None
-    count = 0
-    for j in range(1, ctx.n + 1):
-        d = j * j % p
-        count += 1
-        if perm_sign_cycles(ctx, d) != perm_sign_formula(ctx, d):
-            mismatches += 1
-            if first_bad is None:
-                first_bad = d
-    wit = {"qr_count": str(count), "mismatches": str(mismatches)}
-    if first_bad is not None:
-        wit["first_bad_d"] = str(first_bad)
-    return [CheckResult("lemma-sign", p, None, "pass" if mismatches == 0 else "fail", wit)]
+    squares = (j * j % p for j in range(1, ctx.n + 1))
+    bad = [d for d in squares if perm_sign_cycles(ctx, d) != perm_sign_formula(ctx, d)]
+    wit = {"qr_count": str(ctx.n), "mismatches": str(len(bad))}
+    if bad:
+        wit["first_bad_d"] = str(bad[0])
+    return [CheckResult("lemma-sign", p, None, "fail" if bad else "pass", wit)]
+
+
+def _revalidate_lemma_sign(r: CheckResult) -> bool:
+    return int(r.witness["mismatches"]) == 0
 
 
 def _check_eigen(work: PrimeWork, opts: dict) -> list[CheckResult]:
@@ -243,11 +223,24 @@ def _check_eigen(work: PrimeWork, opts: dict) -> list[CheckResult]:
     return [CheckResult("eigen", p, None, "pass" if report.ok else "fail", wit)]
 
 
+def _revalidate_eigen(r: CheckResult) -> bool:
+    w = r.witness
+    return (
+        w["vandermonde"] == "1"
+        and float(w["max_imag_rel"]) <= charsums.IMAG_REL_TOL
+        and (w["mode"] == "exact" or float(w["residual"]) < charsums.RESIDUAL_TOL)
+    )
+
+
 def _check_product(work: PrimeWork, opts: dict) -> list[CheckResult]:
     p = work.ctx.p
-    prod, det = charsums.eigen_product(work.ctx), work.s1
+    prod, det = charsums.eigen_product(work.ctx), work.det(1)
     wit = {"prod": str(prod), "det": str(det)}
     return [CheckResult("product", p, None, "pass" if prod == det else "fail", wit)]
+
+
+def _revalidate_product(r: CheckResult) -> bool:
+    return int(r.witness["prod"]) == int(r.witness["det"])
 
 
 def _check_jacobsthal(work: PrimeWork, opts: dict) -> list[CheckResult]:
@@ -258,11 +251,20 @@ def _check_jacobsthal(work: PrimeWork, opts: dict) -> list[CheckResult]:
     return [CheckResult("jacobsthal", p, None, "pass" if s == -a else "fail", wit)]
 
 
+def _revalidate_jacobsthal(r: CheckResult) -> bool:
+    s = int(r.witness["sum"])
+    return s == -int(r.witness["a"]) and jacobsthal_sum(PrimeCtx.for_prime(r.p)) == s
+
+
 def _check_row_identity(work: PrimeWork, opts: dict) -> list[CheckResult]:
     ctx, p = work.ctx, work.ctx.p
     ok = charsums.row_identity_check(ctx)
     wit = {"a": str(ctx.decomp.a), "j_count": str(ctx.n)}
     return [CheckResult("row-identity", p, None, "pass" if ok else "fail", wit)]
+
+
+def _revalidate_row_identity(r: CheckResult) -> bool:
+    return int(r.witness["a"]) == PrimeCtx.for_prime(r.p).decomp.a
 
 
 def _carlitz_expected(p: int) -> IntPoly:
@@ -280,6 +282,13 @@ def _check_carlitz(work: PrimeWork, opts: dict) -> list[CheckResult]:
         "expected": json.dumps(list(expected.coeffs)),
     }
     return [CheckResult("carlitz", p, None, "pass" if actual == expected else "fail", wit)]
+
+
+def _revalidate_carlitz(r: CheckResult) -> bool:
+    w = r.witness
+    return json.loads(w["coeffs"]) == json.loads(w["expected"]) == list(
+        _carlitz_expected(r.p).coeffs
+    )
 
 
 def _check_chapman(work: PrimeWork, opts: dict, star: bool) -> list[CheckResult]:
@@ -304,6 +313,19 @@ def _check_chapman(work: PrimeWork, opts: dict, star: bool) -> list[CheckResult]
     return [CheckResult(check_id, p, None, "pass" if actual == expected else "fail", wit)]
 
 
+def _revalidate_chapman(r: CheckResult) -> bool:
+    w, p = r.witness, r.p
+    if json.loads(w["coeffs"]) != json.loads(w["expected"]):
+        return False
+    if p % 4 == 1:
+        u, v, h = int(w["u"]), int(w["v"]), int(w["h"])
+        if (u * u - p * v * v) // 4 != int(w["norm"]) or int(w["norm"]) not in (1, -1):
+            return False
+        eps_h = quadfield.unit_pow(quadfield.QuadUnit(u, v), h, p)
+        return (eps_h.u, eps_h.v) == (int(w["uh"]), int(w["vh"]))
+    return True
+
+
 def _check_sun_zero(work: PrimeWork, opts: dict) -> list[CheckResult]:
     ctx, p = work.ctx, work.ctx.p
     out = []
@@ -316,6 +338,10 @@ def _check_sun_zero(work: PrimeWork, opts: dict) -> list[CheckResult]:
             CheckResult("sun-zero", p, {"d": d}, "pass" if s_val == 0 else "fail", wit)
         )
     return out
+
+
+def _revalidate_sun_zero(r: CheckResult) -> bool:
+    return int(r.witness["S"]) == 0
 
 
 def _check_sun_qr(work: PrimeWork, opts: dict) -> list[CheckResult]:
@@ -333,36 +359,78 @@ def _check_sun_qr(work: PrimeWork, opts: dict) -> list[CheckResult]:
     return out
 
 
-_WORKERS = {
-    "theorem-a": _check_theorem_a,
-    "corollary-a": _check_corollary_a,
-    "conjecture-a": _check_conjecture_a,
-    "lemma-sign": _check_lemma_sign,
-    "eigen": _check_eigen,
-    "product": _check_product,
-    "jacobsthal": _check_jacobsthal,
-    "row-identity": _check_row_identity,
-    "carlitz": _check_carlitz,
-    "chapman": lambda work, opts: _check_chapman(work, opts, star=False),
-    "chapman-star": lambda work, opts: _check_chapman(work, opts, star=True),
-    "sun-zero": _check_sun_zero,
-    "sun-qr": _check_sun_qr,
-}
+def _revalidate_sun_qr(r: CheckResult) -> bool:
+    return PrimeCtx.for_prime(r.p).legendre(-int(r.witness["S"])) >= 0
+
+
+# ---------------------------------------------------------------------------
+# the check registry
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Check:
+    """One identity check: the primes it covers, its default prime ceiling,
+    the worker that computes its results for one prime and the re-validator
+    of its pass witnesses."""
+
+    id: str
+    cls4: int | None        # covers odd primes p = cls4 (mod 4); None: every odd prime
+    pmax: int               # default prime ceiling
+    worker: Callable[[PrimeWork, dict], list[CheckResult]]
+    revalidate: Callable[[CheckResult], bool]
+
+
+# Determinant checks stop at 200 and scalar checks go to 2000.  carlitz builds a
+# (p-1)-dimensional characteristic polynomial (p+1 full determinants per
+# prime), so its ceiling is lower still, to keep the default run fast.
+CHECKS = {check.id: check for check in (
+    Check("theorem-a", 1, 200, _check_theorem_a, _revalidate_theorem_a),
+    Check("corollary-a", 1, 200, _check_corollary_a, _revalidate_corollary_a),
+    Check("conjecture-a", 3, 200, _check_conjecture_a, _revalidate_conjecture_a),
+    Check("lemma-sign", 1, 2000, _check_lemma_sign, _revalidate_lemma_sign),
+    Check("eigen", 1, 200, _check_eigen, _revalidate_eigen),
+    Check("product", 1, 200, _check_product, _revalidate_product),
+    Check("jacobsthal", 1, 2000, _check_jacobsthal, _revalidate_jacobsthal),
+    Check("row-identity", 1, 2000, _check_row_identity, _revalidate_row_identity),
+    Check("carlitz", None, 47, _check_carlitz, _revalidate_carlitz),
+    Check("chapman", None, 200, functools.partial(_check_chapman, star=False),
+          _revalidate_chapman),
+    Check("chapman-star", None, 200, functools.partial(_check_chapman, star=True),
+          _revalidate_chapman),
+    Check("sun-zero", 1, 200, _check_sun_zero, _revalidate_sun_zero),
+    Check("sun-qr", 1, 200, _check_sun_qr, _revalidate_sun_qr),
+)}
+CHECK_IDS = tuple(CHECKS)
+
+
+def _check(check_id: str) -> Check:
+    try:
+        return CHECKS[check_id]
+    except KeyError:
+        raise ValueError(f"unknown check {check_id!r}") from None
+
+
+def default_pmax(check_id: str) -> int:
+    return _check(check_id).pmax
 
 
 def applicable_primes(check_id: str, pmax: int) -> list[int]:
-    if check_id in _MOD1_CHECKS:
-        return [p for p in primes_between(5, pmax) if p % 4 == 1]
-    if check_id == "conjecture-a":
-        return [p for p in primes_between(3, pmax) if p % 4 == 3]
-    return primes_between(3, pmax)  # carlitz, chapman, chapman-star
+    cls4 = _check(check_id).cls4
+    return [p for p in primes_between(3, pmax) if cls4 is None or p % 4 == cls4]
 
 
 def run_check(check_id: str, p: int, opts: dict | None = None) -> list[CheckResult]:
     """Run one check for one prime; pure, deterministic, picklable."""
-    if check_id not in _WORKERS:
-        raise ValueError(f"unknown check {check_id!r}")
-    return _WORKERS[check_id](prime_work(p), opts or {})
+    return _check(check_id).worker(prime_work(p), opts or {})
+
+
+def revalidate(result: CheckResult) -> bool:
+    """Re-check a pass-result witness by independent arithmetic on the recorded
+    decimal strings (no determinant recomputation)."""
+    if result.status != "pass":
+        return True
+    return _check(result.check_id).revalidate(result)
 
 
 # ---------------------------------------------------------------------------
@@ -394,80 +462,6 @@ def verify_background(pmax: int, precision_bits: int = 128):
     for p in applicable_primes("carlitz", pmax):
         for check_id in ("carlitz", "chapman", "chapman-star"):
             yield from run_check(check_id, p, opts)
-
-
-# ---------------------------------------------------------------------------
-# witness re-validation
-# ---------------------------------------------------------------------------
-
-
-def revalidate(result: CheckResult) -> bool:
-    """Re-check a pass-result witness by independent arithmetic on the recorded
-    decimal strings (no determinant recomputation)."""
-    if result.status != "pass":
-        return True
-    w = {k: v for k, v in result.witness.items()}
-    p = result.p
-    cid = result.check_id
-    if cid == "theorem-a":
-        ctx = PrimeCtx.for_prime(p)
-        d = result.params["d"]
-        s_val, a, eps = int(w["S"]), int(w["a"]), int(w["eps"])
-        if ctx.epsilon(d) != eps or ctx.decomp.a != a:
-            return False
-        quotient, rem = divmod(eps * s_val, a)
-        if rem != 0 or int(w["root"]) ** 2 != quotient:
-            return False
-        ld = ctx.legendre(d)
-        if ld == -1:
-            return s_val == 0
-        if ld == 1:
-            return int(w["sign"]) == perm_sign_cycles(ctx, d) and s_val == int(
-                w["sign"]
-            ) * int(w["S1"])
-        return True
-    if cid == "corollary-a":
-        star, s_val, a = int(w["Sstar"]), int(w["S"]), int(w["a"])
-        return int(w["root"]) ** 2 == -star and star * a == -s_val
-    if cid == "conjecture-a":
-        return int(w["root"]) ** 2 == -int(w["S"])
-    if cid == "lemma-sign":
-        return int(w["mismatches"]) == 0
-    if cid == "eigen":
-        residual = float(w["residual"])
-        return (
-            w["vandermonde"] == "1"
-            and float(w["max_imag_rel"]) <= charsums.IMAG_REL_TOL
-            and (w["mode"] == "exact" or residual < charsums.RESIDUAL_TOL)
-        )
-    if cid == "product":
-        return int(w["prod"]) == int(w["det"])
-    if cid == "jacobsthal":
-        ctx = PrimeCtx.for_prime(p)
-        return int(w["sum"]) == -int(w["a"]) and jacobsthal_sum(ctx) == int(w["sum"])
-    if cid == "row-identity":
-        return int(w["a"]) == PrimeCtx.for_prime(p).decomp.a
-    if cid == "carlitz":
-        return json.loads(w["coeffs"]) == json.loads(w["expected"]) == list(
-            _carlitz_expected(p).coeffs
-        )
-    if cid in ("chapman", "chapman-star"):
-        if json.loads(w["coeffs"]) != json.loads(w["expected"]):
-            return False
-        if p % 4 == 1:
-            u, v, h = int(w["u"]), int(w["v"]), int(w["h"])
-            if (u * u - p * v * v) // 4 != int(w["norm"]) or int(w["norm"]) not in (1, -1):
-                return False
-            eps_h = quadfield.unit_pow(quadfield.QuadUnit(u, v), h, p)
-            if (eps_h.u, eps_h.v) != (int(w["uh"]), int(w["vh"])):
-                return False
-        return True
-    if cid == "sun-zero":
-        return int(w["S"]) == 0
-    if cid == "sun-qr":
-        ctx = PrimeCtx.for_prime(p)
-        return ctx.legendre(-int(w["S"])) >= 0
-    raise ValueError(f"unknown check {cid!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -627,10 +621,11 @@ def run(config: RunConfig, out=None) -> int:
 
     # one job per prime, largest first: its checks share one PrimeWork
     jobs = [(p, [c for _, _, c in pending[p]], opts) for p in sorted(pending, reverse=True)]
-    if config.jobs > 1 and jobs:
+    workers = min(config.jobs, len(jobs))    # fork no worker that would get no job
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor, as_completed
 
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {pool.submit(_run_job, job): job[0] for job in jobs}
             for fut in as_completed(futures):
                 finish(futures[fut], fut.result())

@@ -19,9 +19,6 @@ class SignMatrix:
     entries: tuple[tuple[int, ...], ...]
     tag: str
 
-    def to_text(self) -> str:
-        return grid_to_text(self.entries)
-
 
 @dataclass(frozen=True)
 class AffineMatrix:
@@ -34,9 +31,6 @@ class AffineMatrix:
     def at(self, x: int) -> list[list[int]]:
         """Evaluate the entries at a concrete integer x."""
         return [[x + c for c in row] for row in self.constants]
-
-    def to_text(self) -> str:
-        return grid_to_text(self.constants)
 
 
 def squares_matrix(ctx: PrimeCtx, d: int = 1) -> SignMatrix:
@@ -89,21 +83,3 @@ def evil_matrix(ctx: PrimeCtx) -> SignMatrix:
     )
     return SignMatrix(dim, rows, f"evil(p={p})")
 
-
-def grid_to_text(rows) -> str:
-    """Plain-text grid: one matrix row per line, space-separated entries."""
-    return "\n".join(" ".join(str(x) for x in row) for row in rows)
-
-
-def grid_from_text(text: str) -> SignMatrix:
-    """Parse the plain-text grid format back into a SignMatrix."""
-    rows = tuple(
-        tuple(int(tok) for tok in line.split())
-        for line in text.strip().splitlines()
-    )
-    dim = len(rows)
-    if any(len(r) != dim for r in rows):
-        raise ValueError("grid is not square")
-    if any(x not in (-1, 0, 1) for r in rows for x in r):
-        raise ValueError("grid entries must be -1, 0 or 1")
-    return SignMatrix(dim, rows, "text")

@@ -43,15 +43,6 @@ def is_prime(m: int) -> bool:
     return True
 
 
-def mod_pow(base: int, exp: int, mod: int) -> int:
-    """base**exp mod mod for exp >= 0, mod >= 1."""
-    if mod <= 0:
-        raise ValueError("modulus must be positive")
-    if exp < 0:
-        raise ValueError("exponent must be non-negative")
-    return pow(base, exp, mod)
-
-
 def legendre(x: int, p: int) -> int:
     """Legendre symbol (x/p) by Euler's criterion; p an odd prime."""
     x %= p
@@ -203,13 +194,6 @@ def _two_square(p: int) -> TwoSquare:
     odd, even = (x, y) if x % 2 == 1 else (y, x)
     a = odd if odd % 4 == 1 else -odd
     return TwoSquare(a, even // 2)
-
-
-def two_square_decompose(ctx: PrimeCtx) -> TwoSquare:
-    """The unique (a, b) with p = a^2 + 4 b^2, a = 1 (mod 4), b > 0."""
-    if ctx.decomp is None:
-        raise ValueError(f"p={ctx.p} is 3 (mod 4): no two-square decomposition")
-    return ctx.decomp
 
 
 def jacobsthal_sum(ctx: PrimeCtx) -> int:

@@ -4,14 +4,12 @@ import pytest
 
 from conftest import oracle_legendre, oracle_primes
 from legdet.charsums import (
-    CharacterTable,
     CyclotomicElt,
     cyclotomic_polynomial,
     det_squares,
     eigen_product,
     eigen_verify,
     eigenvalue_exact,
-    eigenvalue_float,
     pair_product_square,
     product_identity,
     row_identity_check,
@@ -66,7 +64,7 @@ def test_eigenvalue_known_values():
     assert eigenvalue_exact(ctx13, 3).as_int() == 3  # -a with a = -3
     ctx5 = PrimeCtx.for_prime(5)
     assert eigenvalue_exact(ctx5, 1).as_int() == -1
-    z = eigenvalue_float(ctx13, 3)
+    z = eigenvalue_exact(ctx13, 3).to_float()
     assert abs(complex(z) - 3) < 1e-30
 
 
@@ -166,22 +164,3 @@ def test_row_identity():
         assert row_identity_check(PrimeCtx.for_prime(q))
     with pytest.raises(ValueError):
         row_identity_check(PrimeCtx.for_prime(7))
-
-
-def test_character_table():
-    ctx = PrimeCtx.for_prime(13)
-    table = CharacterTable(ctx)
-    assert table.exponent(1, 0) is None
-    # multiplicativity: exponents add mod p-1
-    for k in (1, 3, 5):
-        for x in range(1, 13):
-            for y in range(1, 13):
-                assert table.exponent(k, x * y) == (
-                    table.exponent(k, x) + table.exponent(k, y)
-                ) % 12
-    # chi^(p-1) is trivial, chi^n is the Legendre symbol
-    for x in range(1, 13):
-        assert table.exponent(12, x) == 0
-        e = table.exponent(6, x)
-        assert e in (0, 6)
-        assert (1 if e == 0 else -1) == ctx.legendre(x)

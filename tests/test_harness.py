@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import io
 import json
@@ -15,6 +16,7 @@ from legdet.harness import (
     applicable_primes,
     code_version,
     default_d_list,
+    default_pmax,
     primes_between,
     revalidate,
     run,
@@ -31,6 +33,26 @@ def test_primes_between():
     assert applicable_primes("theorem-a", 30) == [5, 13, 17, 29]
     assert applicable_primes("conjecture-a", 30) == [3, 7, 11, 19, 23]
     assert applicable_primes("carlitz", 12) == [3, 5, 7, 11]
+    mod1, mod3, odd = [5, 13], [3, 7, 11], [3, 5, 7, 11, 13]
+    registry = {
+        "theorem-a": (200, mod1),
+        "corollary-a": (200, mod1),
+        "conjecture-a": (200, mod3),
+        "lemma-sign": (2000, mod1),
+        "eigen": (200, mod1),
+        "product": (200, mod1),
+        "jacobsthal": (2000, mod1),
+        "row-identity": (2000, mod1),
+        "carlitz": (47, odd),
+        "chapman": (200, odd),
+        "chapman-star": (200, odd),
+        "sun-zero": (200, mod1),
+        "sun-qr": (200, mod1),
+    }
+    assert tuple(registry) == CHECK_IDS
+    for check_id, (pmax, primes) in registry.items():
+        assert default_pmax(check_id) == pmax, check_id
+        assert applicable_primes(check_id, 13) == primes, check_id
 
 
 def test_default_d_list_deterministic():
@@ -115,12 +137,30 @@ def test_revalidate_pass_witnesses():
 
 
 def test_revalidate_catches_tampering():
-    r = run_check("theorem-a", 13, {"d_list": [1]})[0]
-    bad = CheckResult(r.check_id, r.p, r.params, r.status, dict(r.witness, root="4"))
-    assert not revalidate(bad)
-    r2 = run_check("product", 13, {})[0]
-    bad2 = CheckResult(r2.check_id, r2.p, r2.params, r2.status, dict(r2.witness, prod="0"))
-    assert not revalidate(bad2)
+    # one witness field per check, set to a value its re-validator must reject
+    tampered = {
+        "theorem-a": ("root", "4"),
+        "corollary-a": ("root", "20"),
+        "conjecture-a": ("root", "3"),
+        "lemma-sign": ("mismatches", "1"),
+        "eigen": ("vandermonde", "0"),
+        "product": ("prod", "0"),
+        "jacobsthal": ("sum", "1"),
+        "row-identity": ("a", "1"),
+        "carlitz": ("coeffs", "[0]"),
+        "chapman": ("h", "2"),
+        "chapman-star": ("uh", "0"),
+        "sun-zero": ("S", "1"),
+        "sun-qr": ("S", "11"),      # -11 = 2, a non-residue mod 13
+    }
+    assert tuple(tampered) == CHECK_IDS
+    for check_id, (field, value) in tampered.items():
+        p = 13 if 13 in applicable_primes(check_id, 13) else 7
+        r = run_check(check_id, p, {"d_list": [1, 2]})[0]
+        assert r.status == "pass" and revalidate(r), check_id
+        assert field in r.witness and r.witness[field] != value, check_id
+        bad = CheckResult(r.check_id, r.p, r.params, r.status, dict(r.witness, **{field: value}))
+        assert not revalidate(bad), check_id
 
 
 def test_run_exit_codes_and_text_output():
@@ -212,6 +252,49 @@ def test_parallel_matches_serial():
     run(RunConfig(checks=DET_CHECKS, pmax=61, fmt="json", jobs=2, d_list=d_list), parallel)
     assert serial.getvalue() == parallel.getvalue()
     assert "sun-zero" in serial.getvalue() and "sun-qr" in serial.getvalue()
+
+
+class _InlinePool:
+    """A stand-in for ProcessPoolExecutor that records max_workers and runs
+    each job inline, so no process is started."""
+
+    max_workers = []
+
+    def __init__(self, max_workers):
+        self.max_workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        fut = concurrent.futures.Future()
+        fut.set_result(fn(*args))
+        return fut
+
+
+def test_run_starts_no_more_workers_than_primes(monkeypatch):
+    monkeypatch.setattr(_InlinePool, "max_workers", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    serial, pooled = io.StringIO(), io.StringIO()
+    config = RunConfig(checks=("jacobsthal", "corollary-a"), pmax=13, fmt="json")
+    run(config, serial)
+    config.jobs = 64
+    run(config, pooled)                        # two primes: 5 and 13
+    config.pmax = 5
+    run(config, io.StringIO())                 # one prime: no pool at all
+    assert _InlinePool.max_workers == [2]
+    assert pooled.getvalue() == serial.getvalue()
+
+
+def test_cli_verify_rejects_jobs_below_one(capsys):
+    for jobs in ("0", "-1"):
+        assert cli_main(["verify", "--what", "jacobsthal", "--pmax", "5",
+                         "--jobs", jobs]) == 2
+        captured = capsys.readouterr()
+        assert "--jobs" in captured.err and captured.out == ""
 
 
 def test_cache_skips_a_torn_last_line(tmp_path, capsys):

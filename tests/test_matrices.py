@@ -1,13 +1,9 @@
-import pytest
-
 from conftest import oracle_legendre, oracle_primes
 from legdet.exactla import det_exact
 from legdet.matrices import (
     carlitz_matrix,
     chapman_matrix,
     evil_matrix,
-    grid_from_text,
-    grid_to_text,
     squares_matrix,
     squares_star_matrix,
 )
@@ -119,18 +115,3 @@ def test_squares_matrix_scaling_law():
                 lhs = det_exact(squares_matrix(ctx, d * t * t))
                 rhs = perm_sign_cycles(ctx, t * t) * det_exact(squares_matrix(ctx, d))
                 assert lhs == rhs, (p, d, t)
-
-
-def test_grid_text_round_trip():
-    m = squares_matrix(PrimeCtx.for_prime(13), 1)
-    text = m.to_text()
-    back = grid_from_text(text)
-    assert back.entries == m.entries
-    assert grid_to_text(back.entries) == text
-
-
-def test_grid_from_text_rejects_bad_input():
-    with pytest.raises(ValueError):
-        grid_from_text("1 0\n1")
-    with pytest.raises(ValueError):
-        grid_from_text("2 0\n0 1")

@@ -17,11 +17,9 @@ from legdet.ntcore import (
     is_prime,
     jacobsthal_sum,
     legendre,
-    mod_pow,
     perm_sign_cycles,
     perm_sign_formula,
     sqrt_mod,
-    two_square_decompose,
 )
 
 
@@ -82,7 +80,7 @@ def test_two_square_known_values():
 
 def test_two_square_unique_and_normalized():
     for p in oracle_primes(5, 1000, cls4=1):
-        got = two_square_decompose(PrimeCtx.for_prime(p))
+        got = PrimeCtx.for_prime(p).decomp
         matches = []
         a = -int(p**0.5) - 1
         while a <= int(p**0.5) + 1:
@@ -100,8 +98,7 @@ def test_two_square_unique_and_normalized():
 
 
 def test_two_square_rejects_3_mod_4():
-    with pytest.raises(ValueError):
-        two_square_decompose(PrimeCtx.for_prime(7))
+    assert PrimeCtx.for_prime(7).decomp is None
 
 
 def test_jacobsthal_examples():
@@ -185,14 +182,6 @@ def test_find_generator():
             x = x * g % p
             seen.add(x)
         assert len(seen) == p - 1
-
-
-def test_mod_pow():
-    assert mod_pow(4, 3, 13) == 12
-    with pytest.raises(ValueError):
-        mod_pow(2, -1, 5)
-    with pytest.raises(ValueError):
-        mod_pow(2, 3, 0)
 
 
 def test_sqrt_mod():
