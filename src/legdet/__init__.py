@@ -28,14 +28,12 @@ from .charsums import (
     det_squares,
     eigen_verify,
     eigenvalue_exact,
-    pair_product_square,
     product_identity,
     row_identity_check,
 )
 from .quadfield import (
     ClassData,
     QuadUnit,
-    chapman_verify,
     class_data,
     class_number,
     fundamental_unit,
@@ -56,7 +54,6 @@ __all__ = [
     "TwoSquare",
     "carlitz_matrix",
     "chapman_matrix",
-    "chapman_verify",
     "char_poly",
     "class_data",
     "class_number",
@@ -73,7 +70,6 @@ __all__ = [
     "is_prime",
     "jacobsthal_sum",
     "legendre",
-    "pair_product_square",
     "perm_sign_cycles",
     "perm_sign_formula",
     "product_identity",

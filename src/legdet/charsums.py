@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .exactla import det_exact
 from .matrices import squares_matrix
-from .ntcore import PrimeCtx, _factor_trial, is_perfect_square, is_prime
+from .ntcore import PrimeCtx, _factor_trial, is_prime
 
 EXACT_PMAX = 61          # cyclotomic arithmetic stays cheap up to here
 RESIDUAL_TOL = 1e-9      # float-mode eigenvector residual
@@ -99,9 +99,6 @@ class CyclotomicElt:
         return CyclotomicElt(
             self.order, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
         )
-
-    def __neg__(self) -> "CyclotomicElt":
-        return CyclotomicElt(self.order, tuple(-a for a in self.coeffs))
 
     def __mul__(self, other: "CyclotomicElt") -> "CyclotomicElt":
         m = self.order
@@ -370,30 +367,6 @@ def det_squares(ctx: PrimeCtx, d: int) -> int:
         res += modulus * ((det_q - res) * pow(modulus, -1, q) % q)
         modulus *= q
     return res if 2 * res < modulus else res - modulus
-
-
-def pair_product_square(ctx: PrimeCtx) -> tuple[int, int]:
-    """(det/a, its integer square root): the conjugate-pair product squared.
-
-    lambda_n = -1 and lambda_{n/2} = -a are evaluated exactly; dividing them
-    out of the determinant must leave a perfect square (the paired eigenvalues
-    multiply to the square of a rational integer).
-    """
-    if ctx.cls != 1:
-        raise ValueError(f"p={ctx.p} must be 1 (mod 4)")
-    lam_n = eigenvalue_exact(ctx, ctx.n).as_int()
-    lam_half = eigenvalue_exact(ctx, ctx.n // 2).as_int()
-    if lam_n is None or lam_half is None:
-        raise ArithmeticError("corner eigenvalues did not reduce to integers")
-    det = det_exact(squares_matrix(ctx, 1))
-    denom = lam_n * lam_half
-    quotient, rem = divmod(det, denom)
-    if rem != 0:
-        raise ArithmeticError(f"det={det} is not divisible by {denom}")
-    root = is_perfect_square(quotient)
-    if root is None:
-        raise ArithmeticError(f"quotient {quotient} is not a perfect square")
-    return quotient, root
 
 
 def row_identity_check(ctx: PrimeCtx) -> bool:

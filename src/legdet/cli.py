@@ -122,6 +122,11 @@ def _cmd_eigen(args) -> int:
 
 def main(argv=None) -> int:
     args = _parse_args(argv if argv is not None else sys.argv[1:])
+    # the witnesses store floats as doubles, whose significand has 53 bits
+    if args.command != "det" and args.precision_bits < 53:
+        print(f"--precision-bits must be at least 53, not {args.precision_bits}",
+              file=sys.stderr)
+        return 2
     try:
         if args.command == "verify":
             return _cmd_verify(args)

@@ -434,37 +434,6 @@ def revalidate(result: CheckResult) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# spec-level streams
-# ---------------------------------------------------------------------------
-
-
-def verify_theorem_a(pmax: int, d_list=None, full_sweep: bool = False):
-    """Theorem check per (p, d): eps(d) S(d,p)/a is a perfect square, plus the
-    vanishing and sign-transport side conditions."""
-    opts = {"d_list": d_list, "full_sweep": full_sweep}
-    for p in applicable_primes("theorem-a", pmax):
-        yield from run_check("theorem-a", p, opts)
-
-
-def verify_corollary_a(pmax: int):
-    for p in applicable_primes("corollary-a", pmax):
-        yield from run_check("corollary-a", p)
-
-
-def verify_conjecture_a(pmax: int):
-    for p in applicable_primes("conjecture-a", pmax):
-        yield from run_check("conjecture-a", p)
-
-
-def verify_background(pmax: int, precision_bits: int = 128):
-    """Carlitz characteristic polynomial and both Chapman variants per prime."""
-    opts = {"precision_bits": precision_bits}
-    for p in applicable_primes("carlitz", pmax):
-        for check_id in ("carlitz", "chapman", "chapman-star"):
-            yield from run_check(check_id, p, opts)
-
-
-# ---------------------------------------------------------------------------
 # cache, run configuration, output
 # ---------------------------------------------------------------------------
 

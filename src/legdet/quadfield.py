@@ -1,5 +1,5 @@
 """Fundamental unit and class number of Q(sqrt(p)) for p = 1 (mod 4), and
-verification of the Chapman determinant closed forms.
+the Chapman determinant closed forms.
 
 Units are stored as integer pairs (u, v) meaning (u + v sqrt(p))/2 with
 u = v (mod 2); the pair multiplication law keeps half-integers exact.  The
@@ -13,8 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .exactla import IntPoly, det_affine
-from .matrices import chapman_matrix
+from .exactla import IntPoly
 from .ntcore import PrimeCtx
 
 
@@ -61,52 +60,30 @@ def unit_norm(a: QuadUnit, p: int) -> int:
     return num // 4
 
 
-def _pell_pm1(p: int) -> tuple[int, int]:
-    """Fundamental solution of x^2 - p y^2 = +-1 via the continued fraction of sqrt(p)."""
-    a0 = math.isqrt(p)
-    m, d, a = 0, 1, a0
-    h_prev, h = 1, a0
-    k_prev, k = 0, 1
-    while True:
-        m = d * a - m
-        d = (p - m * m) // d
-        a = (a0 + m) // d
-        if d == 1:
-            # end of period: the current convergent numerator/denominator solve +-1
-            break
-        h_prev, h = h, a * h + h_prev
-        k_prev, k = k, a * k + k_prev
-    x, y = h, k
-    if x * x - p * y * y not in (1, -1):
-        raise ArithmeticError(f"continued fraction of sqrt({p}) did not close")
-    return x, y
-
-
 def fundamental_unit(p: int) -> QuadUnit:
     """Minimal (u, v), v > 0, with u^2 - p v^2 = +-4, for prime p = 1 (mod 4).
 
-    The continued fraction of sqrt(p) yields the fundamental unit of Z[sqrt p];
-    the unit of the maximal order is either that or its exact cube root with
-    odd coordinates, which is searched for directly.
+    Expands omega = (1 + sqrt p)/2 as a continued fraction, with complete
+    quotients (P + sqrt p)/Q, until Q returns to 2.  The last convergent h/k
+    then gives the fundamental unit h - k omega' = (2h - k + k sqrt p)/2 of
+    the maximal order, in integer arithmetic and one period of steps.
     """
     if p % 4 != 1:
         raise ValueError(f"p={p} must be 1 (mod 4)")
-    x, y = _pell_pm1(p)
-    big = QuadUnit(2 * x, 2 * y)
-    # Try eps with eps^3 = big: v(3u^2 + p v^2) = 8y bounds v by ~(8y/3p)^(1/3).
-    vmax = round((8 * y / (3 * p)) ** (1 / 3)) + 3
-    for v in range(1, vmax + 1, 2):
-        for delta in (-4, 4):
-            uu = p * v * v + delta
-            u = math.isqrt(uu)
-            if u * u != uu:
-                continue
-            cand = QuadUnit(u, v)
-            if unit_pow(cand, 3, p) == big:
-                _check_unit(cand, p)
-                return cand
-    _check_unit(big, p)
-    return big
+    root = math.isqrt(p)
+    P, Q = 1, 2
+    h, h_prev, k, k_prev = 1, 0, 0, 1
+    while True:
+        a = (P + root) // Q
+        h, h_prev = a * h + h_prev, h
+        k, k_prev = a * k + k_prev, k
+        P = a * Q - P
+        Q = (p - P * P) // Q
+        if Q == 2:
+            break
+    eps = QuadUnit(2 * h - k, k)
+    _check_unit(eps, p)
+    return eps
 
 
 def _check_unit(eps: QuadUnit, p: int) -> None:
@@ -155,8 +132,9 @@ def class_data(p: int, precision_bits: int = 128) -> ClassData:
     return ClassData(eps, h, unit_pow(eps, h, p))
 
 
-def chapman_expected(ctx: PrimeCtx, star: bool, data: ClassData | None = None) -> IntPoly:
-    """Closed form of the Chapman determinant as a polynomial in x.
+def chapman_expected(ctx: PrimeCtx, star: bool, data: ClassData | None) -> IntPoly:
+    """Closed form of the Chapman determinant as a polynomial in x; data is
+    p's class data, read only for p = 1 (mod 4).
 
     For p = 1 (mod 4), with eps^h = a_p + b_p sqrt(p) and (u, v) = (2a_p, 2b_p):
         det C   = (-1)^((p-1)/4) 2^((p-1)/2) (b_p - a_p x)
@@ -172,25 +150,9 @@ def chapman_expected(ctx: PrimeCtx, star: bool, data: ClassData | None = None) -
     if ctx.cls == 3:
         pw = 1 << ctx.n
         return IntPoly.make((pw,)) if star else IntPoly.make((0, -pw))
-    if data is None:
-        data = class_data(p)
     u, v = data.eps_h.u, data.eps_h.v
     s = -1 if (p - 1) // 4 % 2 else 1
     half_pw = 1 << (ctx.n - 1)      # 2^((p-1)/2) times a_p or b_p stays integral
     if star:
         return IntPoly.make((-s * half_pw * u, s * half_pw * p * v))
     return IntPoly.make((s * half_pw * v, -s * half_pw * u))
-
-
-def chapman_verify(
-    ctx: PrimeCtx, star: bool, data: ClassData | None = None, precision_bits: int = 128
-) -> bool:
-    """Compare the exact Chapman determinant with its closed form.
-
-    Returns False at p = 3 for both variants: there det C = x + 1 and
-    det C* = 3x - 1, which match neither closed form (see chapman_expected).
-    """
-    if ctx.cls == 1 and data is None:
-        data = class_data(ctx.p, precision_bits)
-    actual = det_affine(chapman_matrix(ctx, star))
-    return actual == chapman_expected(ctx, star, data)

@@ -1,12 +1,27 @@
-"""Shared independent oracles for the test suite.
+"""Shared independent oracles for the test suite, and run_json, which runs
+checks through the code `legdet verify --format json` runs.
 
-These deliberately avoid the library's code paths: symbols by Euler's
+The oracles deliberately avoid the library's code paths: symbols by Euler's
 criterion on raw pow, determinants by cofactor expansion, primality by trial
 division.  They are the reference implementations the fast paths are checked
 against.
 """
 
 from __future__ import annotations
+
+import io
+import json
+
+from legdet.harness import RunConfig, run
+
+
+def run_json(**config) -> tuple[int, list[dict]]:
+    """Exit code and result records of harness.run(RunConfig(**config)) in
+    JSON format."""
+    out = io.StringIO()
+    code = run(RunConfig(fmt="json", **config), out)
+    lines = out.getvalue().splitlines()
+    return code, [json.loads(line) for line in lines if not line.startswith("#")]
 
 
 def oracle_is_prime(m: int) -> bool:

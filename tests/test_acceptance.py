@@ -2,6 +2,10 @@
 
 Run with:  pytest tests/test_acceptance.py -v -s
 
+Criteria that cover a check's whole default range run it through harness.run,
+the code `legdet verify` runs, and assert its exit code; criterion 9 picks its
+own primes and calls harness.run_check for each.
+
 Criterion 9 checks the Chapman closed forms at every prime 5 <= p <= 103 where
 they are claimed, that is every such prime but p = 3.  There they are provably
 false (det C_3(x) = x + 1 and det C*_3(x) = 3x - 1, checked by direct
@@ -12,15 +16,10 @@ exception to its exact values.
 import random
 import time
 
-from conftest import oracle_det_cofactor, oracle_is_prime, oracle_primes
+from conftest import oracle_det_cofactor, oracle_is_prime, oracle_primes, run_json
 from legdet.charsums import eigen_verify, product_identity
 from legdet.exactla import det_exact, det_mod
-from legdet.harness import (
-    verify_background,
-    verify_conjecture_a,
-    verify_corollary_a,
-    verify_theorem_a,
-)
+from legdet.harness import run_check
 from legdet.matrices import (
     carlitz_matrix,
     chapman_matrix,
@@ -34,7 +33,7 @@ from legdet.ntcore import (
     perm_sign_cycles,
     perm_sign_formula,
 )
-from legdet.quadfield import chapman_verify, class_data, class_number, unit_norm
+from legdet.quadfield import QuadUnit, class_number, unit_norm
 from legdet.charsums import eigenvalue_exact, row_identity_check
 
 
@@ -62,15 +61,12 @@ def test_criterion_01_worked_examples():
 
 def test_criterion_02_squares_det_full_d_sweep():
     t0 = time.monotonic()
-    failures = []
-    count = 0
-    for r in verify_theorem_a(200, full_sweep=True):
-        count += 1
-        if r.status != "pass":
-            failures.append((r.p, r.params["d"]))
+    code, records = run_json(checks=("theorem-a",), pmax=200, full_d_sweep=True)
     elapsed = time.monotonic() - t0
+    failures = [(r["p"], r["params"]["d"]) for r in records if r["status"] != "pass"]
+    count = len(records)
     expected_count = sum(p for p in oracle_primes(5, 200, cls4=1))
-    ok = not failures and count == expected_count and elapsed < 300
+    ok = code == 0 and not failures and count == expected_count and elapsed < 300
     assert _report(
         2,
         "square-quotient sweep p<=200, all d",
@@ -80,14 +76,18 @@ def test_criterion_02_squares_det_full_d_sweep():
 
 
 def test_criterion_03_star_determinant_sweep():
-    failures = [r.p for r in verify_corollary_a(200) if r.status != "pass"]
-    ok = not failures
+    code, records = run_json(checks=("corollary-a",), pmax=200)
+    failures = [r["p"] for r in records if r["status"] != "pass"]
+    covered = [r["p"] for r in records] == oracle_primes(5, 200, cls4=1)
+    ok = code == 0 and not failures and covered
     assert _report(3, "star determinant sweep p<=200", ok, f"failures: {failures}")
 
 
 def test_criterion_04_negated_square_sweep_3_mod_4():
-    failures = [r.p for r in verify_conjecture_a(200) if r.status != "pass"]
-    ok = not failures
+    code, records = run_json(checks=("conjecture-a",), pmax=200)
+    failures = [r["p"] for r in records if r["status"] != "pass"]
+    covered = [r["p"] for r in records] == oracle_primes(3, 200, cls4=3)
+    ok = code == 0 and not failures and covered
     assert _report(4, "-S(1,p) square sweep p<=200", ok, f"failures: {failures}")
 
 
@@ -159,12 +159,10 @@ def test_criterion_07_row_identity_sweep():
 
 
 def test_criterion_08_carlitz_characteristic_polynomials():
-    failures = [
-        (r.p, r.status)
-        for r in verify_background(47)
-        if r.check_id == "carlitz" and r.status != "pass"
-    ]
-    ok = not failures
+    code, records = run_json(checks=("carlitz",), pmax=47)
+    failures = [(r["p"], r["status"]) for r in records if r["status"] != "pass"]
+    covered = [r["p"] for r in records] == oracle_primes(3, 47)
+    ok = code == 0 and not failures and covered
     assert _report(
         8, "Carlitz characteristic polynomials p<=47", ok, f"failures: {failures}"
     )
@@ -174,25 +172,20 @@ def test_criterion_09_chapman_closed_forms():
     # The closed forms are not claimed at p = 3 (see chapman_expected); that
     # exception is pinned in test_quadfield.py::test_chapman_forms_fail_at_p3.
     failures = []
-    for p in oracle_primes(7, 103, cls4=3):
-        ctx = PrimeCtx.for_prime(p)
-        if not chapman_verify(ctx, False):
-            failures.append((p, "chapman"))
-        if not chapman_verify(ctx, True):
-            failures.append((p, "chapman-star"))
-    for p in oracle_primes(5, 101, cls4=1):
-        ctx = PrimeCtx.for_prime(p)
-        data = class_data(p, 128)
-        if unit_norm(data.eps, p) not in (1, -1):
+    for p in oracle_primes(7, 103, cls4=3) + oracle_primes(5, 101, cls4=1):
+        results = {c: run_check(c, p, {"precision_bits": 128})[0]
+                   for c in ("chapman", "chapman-star")}
+        failures += [(p, c) for c, r in results.items() if r.status != "pass"]
+        if p % 4 == 3:
+            continue
+        w = results["chapman"].witness
+        u, v, uh, vh = (int(w[k]) for k in ("u", "v", "uh", "vh"))
+        if unit_norm(QuadUnit(u, v), p) not in (1, -1):
             failures.append((p, "norm"))
-        if (data.eps.u - data.eps.v) % 2 or (data.eps_h.u - data.eps_h.v) % 2:
+        if (u - v) % 2 or (uh - vh) % 2:
             failures.append((p, "parity"))
         if class_number(p, 128) != class_number(p, 256):
             failures.append((p, "h-stability"))
-        if not chapman_verify(ctx, False, data):
-            failures.append((p, "chapman"))
-        if not chapman_verify(ctx, True, data):
-            failures.append((p, "chapman-star"))
     if class_number(229, 128) != 3 or class_number(229, 256) != 3:
         failures.append((229, "h-regression"))
     ok = not failures

@@ -10,7 +10,6 @@ from legdet.charsums import (
     eigen_product,
     eigen_verify,
     eigenvalue_exact,
-    pair_product_square,
     product_identity,
     row_identity_check,
 )
@@ -145,12 +144,6 @@ def test_det_squares_matches_modular_oracle_at_p401():
     assert oracle_legendre(residue, 401) == 1 and oracle_legendre(non_residue, 401) == -1
     for d in (1, residue, non_residue):
         assert det_squares(ctx, d) % q == det_mod(squares_matrix(ctx, d), q), d
-
-
-def test_pair_product_square():
-    assert pair_product_square(PrimeCtx.for_prime(13)) == (9, 3)
-    assert pair_product_square(PrimeCtx.for_prime(5)) == (1, 1)
-    assert pair_product_square(PrimeCtx.for_prime(17)) == (441, 21)
 
 
 def test_row_identity():

@@ -1,11 +1,15 @@
+import ast
 import concurrent.futures
 import csv
+import importlib
 import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from conftest import run_json
 
 import legdet
 from legdet.cli import main as cli_main
@@ -21,10 +25,6 @@ from legdet.harness import (
     revalidate,
     run,
     run_check,
-    verify_background,
-    verify_conjecture_a,
-    verify_corollary_a,
-    verify_theorem_a,
 )
 
 
@@ -77,33 +77,46 @@ def test_theorem_a_full_sweep_p13():
 
 
 def test_theorem_a_stream_small():
-    results = list(verify_theorem_a(13, d_list=[1, 2]))
-    assert [(r.p, r.params["d"]) for r in results] == [(5, 1), (5, 2), (13, 1), (13, 2)]
-    assert all(r.status == "pass" for r in results)
+    code, results = run_json(checks=("theorem-a",), pmax=17, d_list=[1, 2])
+    assert code == 0
+    assert [(r["p"], r["params"]["d"]) for r in results] == [
+        (5, 1), (5, 2), (13, 1), (13, 2), (17, 1), (17, 2)]
+    assert all(r["status"] == "pass" for r in results)
+    # S(1,p)/a and its square root, as the d = 1 row records them
+    roots = {}
+    for r in results[::2]:
+        w = r["witness"]
+        quotient, rem = divmod(int(w["eps"]) * int(w["S"]), int(w["a"]))
+        assert rem == 0
+        roots[r["p"]] = (quotient, int(w["root"]))
+    assert roots == {5: (1, 1), 13: (9, 3), 17: (441, 21)}
 
 
 def test_corollary_stream():
-    results = list(verify_corollary_a(17))
-    assert [r.p for r in results] == [5, 13, 17]
-    assert all(r.status == "pass" for r in results)
-    assert results[2].witness["Sstar"] == "-441"
-    assert results[2].witness["root"] == "21"
+    code, results = run_json(checks=("corollary-a",), pmax=17)
+    assert code == 0
+    assert [r["p"] for r in results] == [5, 13, 17]
+    assert all(r["status"] == "pass" for r in results)
+    assert results[2]["witness"]["Sstar"] == "-441"
+    assert results[2]["witness"]["root"] == "21"
 
 
 def test_conjecture_stream():
-    results = list(verify_conjecture_a(11))
-    assert [r.p for r in results] == [3, 7, 11]
-    assert all(r.status == "pass" for r in results)
-    assert results[0].witness["S"] == "-1"
+    code, results = run_json(checks=("conjecture-a",), pmax=11)
+    assert code == 0
+    assert [r["p"] for r in results] == [3, 7, 11]
+    assert all(r["status"] == "pass" for r in results)
+    assert results[0]["witness"]["S"] == "-1"
 
 
 def test_background_stream_small():
-    results = list(verify_background(7))
-    ids = [(r.check_id, r.p) for r in results]
+    code, results = run_json(checks=("carlitz", "chapman", "chapman-star"), pmax=7)
+    ids = [(r["check_id"], r["p"]) for r in results]
     assert ("carlitz", 5) in ids and ("chapman-star", 7) in ids
     # the Chapman closed forms genuinely fail at p = 3
-    failures = {(r.check_id, r.p) for r in results if r.status == "fail"}
+    failures = {(r["check_id"], r["p"]) for r in results if r["status"] == "fail"}
     assert failures == {("chapman", 3), ("chapman-star", 3)}
+    assert code == 1
 
 
 def test_every_check_runs_on_a_small_prime():
@@ -297,6 +310,19 @@ def test_cli_verify_rejects_jobs_below_one(capsys):
         assert "--jobs" in captured.err and captured.out == ""
 
 
+def test_cli_rejects_precision_bits_below_53(capsys):
+    # at 53 bits: chapman fails only at p = 3 (exit 1), the others pass
+    for args, code_at_53 in ((["verify", "--what", "chapman", "--pmax", "13"], 1),
+                             (["verify", "--what", "eigen", "--pmax", "101"], 0),
+                             (["eigen", "--p", "13"], 0)):
+        for bits in ("0", "4", "32", "52"):
+            assert cli_main(args + ["--precision-bits", bits]) == 2, (args, bits)
+            captured = capsys.readouterr()
+            assert "--precision-bits" in captured.err and captured.out == ""
+        assert cli_main(args + ["--precision-bits", "53"]) == code_at_53, args
+        capsys.readouterr()
+
+
 def test_cache_skips_a_torn_last_line(tmp_path, capsys):
     cache = tmp_path / "c.jsonl"
     args = ["verify", "--what", "corollary-a,jacobsthal", "--pmax", "17",
@@ -363,6 +389,21 @@ def test_cli_import_leaves_numpy_and_mpmath_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_public_and_traced_names_resolve():
+    # perfbench/tracer.py looks each traced function up by name; read, not import
+    for name in legdet.__all__:
+        assert hasattr(legdet, name), name
+    tracer = Path(__file__).parent.parent / "perfbench" / "tracer.py"
+    traced = next(ast.literal_eval(node.value) for node in ast.parse(tracer.read_text()).body
+                  if isinstance(node, ast.Assign)
+                  and getattr(node.targets[0], "id", None) == "TRACED_FUNCTIONS")
+    assert traced
+    for mod_name, names in traced.items():
+        mod = importlib.import_module(f"legdet.{mod_name}")
+        for name in names:
+            assert callable(getattr(mod, name, None)), f"{mod_name}.{name}"
 
 
 def test_cli_det(capsys):

@@ -1,13 +1,15 @@
+import time
+
 import pytest
 
 from conftest import oracle_primes
 from legdet.exactla import IntPoly, det_affine
+from legdet.harness import run_check
 from legdet.matrices import chapman_matrix
 from legdet.ntcore import PrimeCtx
 from legdet.quadfield import (
     QuadUnit,
     chapman_expected,
-    chapman_verify,
     class_data,
     class_number,
     fundamental_unit,
@@ -38,6 +40,16 @@ def test_fundamental_unit_norm_and_minimality():
                     r = int(uu**0.5)
                     for u in (r - 1, r, r + 1):
                         assert u * u != uu or u <= 0, (p, u, v)
+
+
+def test_fundamental_unit_large_primes():
+    # v has 37, 43 and 370 bits here, far past any search or float bound
+    t0 = time.monotonic()
+    units = {p: fundamental_unit(p) for p in (1621, 2389, 82021)}
+    assert time.monotonic() - t0 < 1.0
+    for p, eps in units.items():
+        assert eps.u * eps.u - p * eps.v * eps.v in (4, -4), p
+        assert (eps.u - eps.v) % 2 == 0 and eps.v > 0, p
 
 
 def test_fundamental_unit_rejects_3_mod_4():
@@ -79,13 +91,18 @@ def test_class_data_half_integer_components():
     assert d229.eps_h == QuadUnit(3420, 226)  # eps^3 = 1710 + 113 sqrt 229
 
 
+def _chapman_status(p: int, star: bool) -> str:
+    [result] = run_check("chapman-star" if star else "chapman", p)
+    return result.status
+
+
 def test_chapman_verify_examples():
-    assert chapman_verify(PrimeCtx.for_prime(5), False)       # det = 2x - 2
-    assert chapman_verify(PrimeCtx.for_prime(7), False)       # det = -8x
+    assert _chapman_status(5, False) == "pass"       # det = 2x - 2
+    assert _chapman_status(7, False) == "pass"       # det = -8x
     ctx13 = PrimeCtx.for_prime(13)
     assert det_affine(chapman_matrix(ctx13)) == IntPoly.make((-32, 96))
-    assert chapman_verify(ctx13, False)
-    assert chapman_verify(ctx13, True)
+    assert _chapman_status(13, False) == "pass"
+    assert _chapman_status(13, True) == "pass"
 
 
 def test_chapman_star_constant_positive_for_3_mod_4():
@@ -93,7 +110,7 @@ def test_chapman_star_constant_positive_for_3_mod_4():
     for p in (7, 11, 19, 23):
         ctx = PrimeCtx.for_prime(p)
         assert det_affine(chapman_matrix(ctx, True)) == IntPoly.make((1 << ctx.n,))
-        assert chapman_verify(ctx, True)
+        assert _chapman_status(p, True) == "pass"
 
 
 def test_chapman_forms_fail_at_p3():
@@ -102,18 +119,18 @@ def test_chapman_forms_fail_at_p3():
     ctx = PrimeCtx.for_prime(3)
     assert det_affine(chapman_matrix(ctx, False)) == IntPoly.make((1, 1))
     assert det_affine(chapman_matrix(ctx, True)) == IntPoly.make((-1, 3))
-    assert not chapman_verify(ctx, False)
-    assert not chapman_verify(ctx, True)
+    assert _chapman_status(3, False) == "fail"
+    assert _chapman_status(3, True) == "fail"
 
 
 def test_chapman_both_variants_share_class_data():
     for p in (29, 37, 41):
         ctx = PrimeCtx.for_prime(p)
         data = class_data(p)
-        assert chapman_verify(ctx, False, data)
-        assert chapman_verify(ctx, True, data)
         plain = chapman_expected(ctx, False, data)
         star = chapman_expected(ctx, True, data)
+        assert det_affine(chapman_matrix(ctx, False)) == plain
+        assert det_affine(chapman_matrix(ctx, True)) == star
         # both closed forms are built from the same (u, v)
         assert star.coeffs[0] == plain.coeffs[1]
         assert star.coeffs[1] == p * plain.coeffs[0]
