@@ -146,6 +146,20 @@ def test_det_squares_matches_modular_oracle_at_p401():
         assert det_squares(ctx, d) % q == det_mod(squares_matrix(ctx, d), q), d
 
 
+def test_pair_product_square():
+    # dividing the corner eigenvalues lambda_n = -1 and lambda_{n/2} = -a out
+    # of det S(1,p) leaves the square of the conjugate-pair product
+    expected = {5: (1, 1), 13: (9, 3), 17: (441, 21)}
+    for p, (quotient, root) in expected.items():
+        ctx = PrimeCtx.for_prime(p)
+        lam_n = eigenvalue_exact(ctx, ctx.n).as_int()
+        lam_half = eigenvalue_exact(ctx, ctx.n // 2).as_int()
+        q, rem = divmod(det_exact(squares_matrix(ctx, 1)), lam_n * lam_half)
+        assert rem == 0, p
+        assert (q, math.isqrt(q)) == (quotient, root), p
+        assert root * root == quotient, p
+
+
 def test_row_identity():
     # direct sum for p=13, j=1: sum_i ((i^2+1)/13)(i/13) = 3 = -a * (1/13)
     p = 13
