@@ -25,6 +25,7 @@ from .exactla import IntPoly, char_poly, det_affine, det_exact, det_mod, hadamar
 from .charsums import (
     CyclotomicElt,
     EigenReport,
+    carlitz_char_poly,
     det_squares,
     eigen_verify,
     eigenvalue_exact,
@@ -52,6 +53,7 @@ __all__ = [
     "RunConfig",
     "SignMatrix",
     "TwoSquare",
+    "carlitz_char_poly",
     "carlitz_matrix",
     "chapman_matrix",
     "char_poly",

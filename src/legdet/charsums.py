@@ -1,6 +1,7 @@
 """The eigenvalues of the squares matrix as character sums, exact cyclotomic
-arithmetic in Z[zeta_{p-1}], and the squares-matrix determinant from its
-circulant structure.
+arithmetic in Z[zeta_{p-1}], and two results from circulant Fourier values
+mod word-size primes: the squares-matrix determinant and the Carlitz
+characteristic polynomial.
 
 The eigenvalue of index k is lambda_k = sum_{j=1..n} ((1+j^2)/p) chi^k(j^2),
 chi a generator of the character group.  Two evaluation modes exist: exact
@@ -14,9 +15,10 @@ are never decided by floats: they route through exact determinants.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
-from .exactla import det_exact
+from .exactla import IntPoly, det_exact
 from .matrices import squares_matrix
 from .ntcore import PrimeCtx, _factor_trial, is_prime
 
@@ -299,38 +301,70 @@ def product_identity(ctx: PrimeCtx) -> tuple[int, int]:
     return eigen_product(ctx), det_exact(squares_matrix(ctx, 1))
 
 
-# Fourier primes q = 1 (mod n) are taken just below 2^62, far inside the range
+# Fourier primes q = 1 (mod m) are taken just below 2^62, far inside the range
 # where ntcore.is_prime is deterministic.
 _FOURIER_BITS = 62
 
 
-@functools.lru_cache(maxsize=4)
-def _fourier_tables(n: int) -> tuple[tuple[int, list[int]], ...]:
-    """Primes q = 1 (mod n) whose product exceeds 2 n^(n/2), each with its
-    table [w^j mod q] + [-w^j mod q] (j < n, w of order n mod q).
-
-    2 n^(n/2) bounds twice every |det| an n x n {-1, 0, 1} matrix can have.
-    """
-    factors = _factor_trial(n)
-    bound = 4 * n**n
-    tables = []
-    modulus = 1
-    m = ((1 << _FOURIER_BITS) - 2) // n
-    while modulus * modulus <= bound:
-        q = 1 + n * m
-        m -= 1
+def _fourier_primes(m: int):
+    """Yield (q, w): the primes q = 1 (mod m) below 2^62 in descending order,
+    each with an element w of order m mod q."""
+    factors = _factor_trial(m)
+    t = ((1 << _FOURIER_BITS) - 2) // m
+    while t > 0:
+        q = 1 + m * t
+        t -= 1
         if not is_prime(q):
             continue
         for h in range(2, q):
-            w = pow(h, (q - 1) // n, q)
-            if all(pow(w, n // r, q) != 1 for r in factors):
+            w = pow(h, (q - 1) // m, q)
+            if all(pow(w, m // r, q) != 1 for r in factors):
                 break
-        powers = [1] * n
-        for j in range(1, n):
+        yield q, w
+
+
+@functools.lru_cache(maxsize=4)
+def _fourier_tables(m: int, sq_bound: int) -> tuple[tuple[int, list[int]], ...]:
+    """The first Fourier primes q = 1 (mod m) whose product squared exceeds
+    sq_bound, each with its table [w^j mod q] + [-w^j mod q] (j < m)."""
+    tables = []
+    modulus = 1
+    for q, w in _fourier_primes(m):
+        powers = [1] * m
+        for j in range(1, m):
             powers[j] = powers[j - 1] * w % q
         tables.append((q, powers + [q - x for x in powers]))
         modulus *= q
+        if modulus * modulus > sq_bound:
+            break
     return tuple(tables)
+
+
+def _fourier_rows(coeffs: list[int]) -> list[list[int]]:
+    """For c_s in {-1, 0, 1}, row k lists where each term c_s w^(ks) of the
+    k-th Fourier value sum_s c_s w^(ks) sits in a Fourier table of order
+    m = len(coeffs): at k*s mod m, m further on if c_s = -1."""
+    m = len(coeffs)
+    terms = [(s, 0 if c > 0 else m) for s, c in enumerate(coeffs) if c]
+    return [[k * s % m + off for s, off in terms] for k in range(m)]
+
+
+def _crt_signed(residues, sq_bound: int) -> list[int]:
+    """Combine residue vectors (q, [r mod q, ...]) by CRT until the modulus M
+    satisfies M^2 > sq_bound, then lift each entry into (-M/2, M/2).
+
+    Exact when sq_bound >= (2B)^2 for a bound B on every |entry|.  residues is
+    consumed lazily: no residue past the bound is computed.
+    """
+    modulus, res = 1, []
+    for q, vals in residues:
+        inv = pow(modulus, -1, q)
+        res = [r + modulus * ((v - r) * inv % q)
+               for r, v in zip(res or [0] * len(vals), vals)]
+        modulus *= q
+        if modulus * modulus > sq_bound:
+            break
+    return [r if 2 * r < modulus else r - modulus for r in res]
 
 
 def det_squares(ctx: PrimeCtx, d: int) -> int:
@@ -352,21 +386,51 @@ def det_squares(ctx: PrimeCtx, d: int) -> int:
     for _ in range(n):
         coeffs.append(sym[(1 + d * x) % p])
         x = x * g2 % p
-    # c_s w^(ks) sits at k*s mod n in a Fourier table, n further on if c_s = -1
-    terms = [(s, 0 if c > 0 else n) for s, c in enumerate(coeffs) if c]
-    rows = [[k * s % n + off for s, off in terms] for k in range(n)]
-    bound = 4 * len(terms) ** n
-    modulus, res = 1, 0
-    for q, table in _fourier_tables(n):
-        if modulus * modulus > bound:
-            break
-        get = table.__getitem__
-        det_q = 1
-        for row in rows:
-            det_q = det_q * sum(map(get, row)) % q
-        res += modulus * ((det_q - res) * pow(modulus, -1, q) % q)
-        modulus *= q
-    return res if 2 * res < modulus else res - modulus
+    rows = _fourier_rows(coeffs)
+
+    def residues():
+        # the tables for the largest bound any d can need, shared by every d
+        for q, table in _fourier_tables(n, 4 * n**n):
+            get = table.__getitem__
+            det_q = 1
+            for row in rows:
+                det_q = det_q * sum(map(get, row)) % q
+            yield q, (det_q,)
+
+    nz = sum(1 for c in coeffs if c)
+    return _crt_signed(residues(), 4 * nz**n)[0]
+
+
+def carlitz_char_poly(ctx: PrimeCtx) -> IntPoly:
+    """det(xI - C) for the Carlitz matrix C = [((i-j)/p)]_(1 <= i,j < p).
+
+    C is the p x p circulant A = [((i-j)/p)]_(0 <= i,j < p) with row and
+    column 0 deleted.  Every principal (p-1)-minor of xI - A is a cyclic
+    shift of that one, and together they sum to chi_A'(x), so
+    det(xI - C) = chi_A'(x)/p.  chi_A = prod_k (x - mu_k) over the Fourier
+    values mu_k = sum_s ((-s)/p) w^(ks) of A, taken mod primes q = 1 (mod p).
+    The coefficient of x^(p-1-m) is, up to sign, a sum of C(p-1, m) principal
+    m-minors of C, each at most (p-1)^(m/2) by Hadamard (off the diagonal
+    every entry is +-1), so every coefficient is at most
+    sum_m C(p-1, m) (p-1)^(m/2) = (1 + sqrt(p-1))^(p-1) in absolute value.
+    The residues are combined by CRT until the modulus exceeds twice that.
+    """
+    p, sym = ctx.p, ctx.symbols
+    rows = _fourier_rows([sym[-s % p] for s in range(p)])
+    # (1 + sqrt(p-1))^2 <= p + ceil(2 sqrt(p-1)), and isqrt(4m - 1) + 1 = ceil(2 sqrt m)
+    sq_bound = 4 * (p + math.isqrt(4 * p - 5) + 1) ** (p - 1)
+
+    def residues():
+        for q, table in _fourier_tables(p, sq_bound):
+            get = table.__getitem__
+            chi = [1]                                   # low degree first
+            for row in rows:
+                mu = sum(map(get, row)) % q
+                chi = [(a - mu * b) % q for a, b in zip([0] + chi, chi + [0])]
+            inv_p = pow(p, -1, q)
+            yield q, [k * c * inv_p % q for k, c in enumerate(chi) if k]
+
+    return IntPoly.make(_crt_signed(residues(), sq_bound))
 
 
 def row_identity_check(ctx: PrimeCtx) -> bool:

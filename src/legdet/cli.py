@@ -13,7 +13,7 @@ import sys
 
 from . import charsums
 from .exactla import det_affine, det_exact
-from .harness import CHECK_IDS, CHECKS, RunConfig, run
+from .harness import CHECK_IDS, CHECKS, RunConfig, check_precision_bits, run
 from .matrices import (
     carlitz_matrix,
     chapman_matrix,
@@ -122,11 +122,12 @@ def _cmd_eigen(args) -> int:
 
 def main(argv=None) -> int:
     args = _parse_args(argv if argv is not None else sys.argv[1:])
-    # the witnesses store floats as doubles, whose significand has 53 bits
-    if args.command != "det" and args.precision_bits < 53:
-        print(f"--precision-bits must be at least 53, not {args.precision_bits}",
-              file=sys.stderr)
-        return 2
+    if args.command != "det":
+        try:
+            check_precision_bits(args.precision_bits, "--precision-bits")
+        except ValueError as exc:
+            print(exc, file=sys.stderr)
+            return 2
     try:
         if args.command == "verify":
             return _cmd_verify(args)

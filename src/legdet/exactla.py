@@ -3,8 +3,11 @@
 det_exact is fraction-free Bareiss elimination (every division is exact), the
 primary determinant path for the whole package.  det_mod is an independent
 cross-check oracle over F_q, deliberately sharing no code with det_exact.
-char_poly and det_affine reuse the audited Bareiss path through multipoint
-evaluation plus exact interpolation.
+det_affine runs one Bareiss elimination on the row differences of a matrix
+[x + c_ij] and gets both coefficients of its determinant.  char_poly evaluates
+det_exact at dim+1 points and interpolates exactly; the checks take the
+Carlitz polynomial from charsums.carlitz_char_poly instead, and char_poly is
+the reference the tests compare it with.
 """
 
 from __future__ import annotations
@@ -159,16 +162,46 @@ def det_mod(m, q: int) -> int:
 def det_affine(m: AffineMatrix) -> IntPoly:
     """Determinant of [x + c_ij] as a polynomial in x.
 
-    A rank-1 perturbation of a constant matrix has determinant affine in x, so
-    two evaluations determine it; a third evaluation at x = 2 guards against
-    internal errors.
+    Subtracting row 0 from every other row leaves x in row 0 alone, so
+    det = det[K_0; D] + x det[1; D], where K_0 is row 0 of the constants and
+    D holds the rows K_i - K_0: the result is affine by construction.  One
+    fraction-free elimination over D, with row and column swaps, carries both
+    candidate rows K_0 and (1, ..., 1) along; if D has rank below dim - 1,
+    both determinants are 0.
     """
-    d0 = det_exact(m.at(0))
-    d1 = det_exact(m.at(1))
-    c1 = d1 - d0
-    if det_exact(m.at(2)) != d0 + 2 * c1:
-        raise ArithmeticError(f"det of {m.tag} is not affine in x")
-    return IntPoly.make((d0, c1))
+    rows = _rows(m.constants)
+    dim = len(rows)
+    if dim == 0:
+        return IntPoly.make((1,))
+    k0 = rows[0]
+    a = [[x - y for x, y in zip(r, k0)] for r in rows[1:]]
+    tops = [list(k0), [1] * dim]
+    sign = -1 if dim % 2 == 0 else 1     # (-1)^(dim-1): row 0 moved below D
+    prev = 1
+    for k in range(dim - 1):
+        if a[k][k] == 0:
+            pivot_at = next(
+                ((i, j) for j in range(k, dim) for i in range(k, dim - 1) if a[i][j]),
+                None,
+            )
+            if pivot_at is None:
+                return IntPoly(())
+            i, j = pivot_at
+            if i != k:
+                a[k], a[i] = a[i], a[k]
+                sign = -sign
+            if j != k:
+                for r in a + tops:
+                    r[k], r[j] = r[j], r[k]
+                sign = -sign
+        pivot_row = a[k]
+        pivot = pivot_row[k]
+        tail = pivot_row[k + 1:]
+        for ri in a[k + 1:] + tops:
+            f = ri[k]
+            ri[k + 1:] = [(pivot * x - f * y) // prev for x, y in zip(ri[k + 1:], tail)]
+        prev = pivot
+    return IntPoly.make((sign * tops[0][-1], sign * tops[1][-1]))
 
 
 def char_poly(m) -> IntPoly:

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import charsums, quadfield
-from .exactla import IntPoly, char_poly, det_affine, det_exact
-from .matrices import carlitz_matrix, chapman_matrix, squares_matrix, squares_star_matrix
+from .exactla import IntPoly, det_affine, det_exact
+from .matrices import chapman_matrix, squares_matrix, squares_star_matrix
 from .ntcore import (
     PrimeCtx,
     is_perfect_square,
@@ -275,7 +275,7 @@ def _carlitz_expected(p: int) -> IntPoly:
 
 def _check_carlitz(work: PrimeWork, opts: dict) -> list[CheckResult]:
     ctx, p = work.ctx, work.ctx.p
-    actual = char_poly(carlitz_matrix(ctx))
+    actual = charsums.carlitz_char_poly(ctx)
     expected = _carlitz_expected(p)
     wit = {
         "coeffs": json.dumps(list(actual.coeffs)),
@@ -381,9 +381,8 @@ class Check:
     revalidate: Callable[[CheckResult], bool]
 
 
-# Determinant checks stop at 200 and scalar checks go to 2000.  carlitz builds a
-# (p-1)-dimensional characteristic polynomial (p+1 full determinants per
-# prime), so its ceiling is lower still, to keep the default run fast.
+# Determinant checks stop at 200, scalar checks go to 2000 and carlitz stops at
+# 47.  Raising a ceiling changes the default output.
 CHECKS = {check.id: check for check in (
     Check("theorem-a", 1, 200, _check_theorem_a, _revalidate_theorem_a),
     Check("corollary-a", 1, 200, _check_corollary_a, _revalidate_corollary_a),
@@ -504,6 +503,17 @@ class ResultCache:
             )
 
 
+# the witnesses store floats as doubles, whose significand has 53 bits
+MIN_PRECISION_BITS = 53
+
+
+def check_precision_bits(bits: int, name: str = "precision_bits") -> None:
+    """Raise ValueError if bits is below MIN_PRECISION_BITS; name is how the
+    caller calls the setting."""
+    if bits < MIN_PRECISION_BITS:
+        raise ValueError(f"{name} must be at least {MIN_PRECISION_BITS}, not {bits}")
+
+
 @dataclass
 class RunConfig:
     checks: tuple[str, ...] = CHECK_IDS
@@ -555,7 +565,9 @@ def _short(v: str, limit: int = 40) -> str:
 
 
 def run(config: RunConfig, out=None) -> int:
-    """Execute the configured checks; returns 0 iff no check failed."""
+    """Execute the configured checks; returns 0 iff no check failed.  Raises
+    ValueError for precision_bits below MIN_PRECISION_BITS."""
+    check_precision_bits(config.precision_bits)
     out = out or sys.stdout
     cache = ResultCache(config.cache_path) if config.cache_path else None
     opts = {

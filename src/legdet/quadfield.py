@@ -100,11 +100,13 @@ def class_number(p: int, precision_bits: int = 128) -> int:
     If the value is too close to a rounding boundary the computation retries
     at doubled precision.
     """
+    return _class_number(p, fundamental_unit(p), precision_bits)
+
+
+def _class_number(p: int, eps: QuadUnit, precision_bits: int) -> int:
+    """class_number for p's fundamental unit eps, already computed."""
     import mpmath
 
-    if p % 4 != 1:
-        raise ValueError(f"p={p} must be 1 (mod 4)")
-    eps = fundamental_unit(p)
     bits = precision_bits
     for _ in range(8):
         with mpmath.workprec(bits):
@@ -128,7 +130,7 @@ def class_number(p: int, precision_bits: int = 128) -> int:
 
 def class_data(p: int, precision_bits: int = 128) -> ClassData:
     eps = fundamental_unit(p)
-    h = class_number(p, precision_bits)
+    h = _class_number(p, eps, precision_bits)
     return ClassData(eps, h, unit_pow(eps, h, p))
 
 

@@ -5,6 +5,7 @@ import pytest
 from conftest import oracle_legendre, oracle_primes
 from legdet.charsums import (
     CyclotomicElt,
+    carlitz_char_poly,
     cyclotomic_polynomial,
     det_squares,
     eigen_product,
@@ -13,8 +14,9 @@ from legdet.charsums import (
     product_identity,
     row_identity_check,
 )
-from legdet.exactla import det_exact, det_mod
-from legdet.matrices import squares_matrix
+from legdet.exactla import char_poly, det_exact, det_mod
+from legdet.harness import _carlitz_expected
+from legdet.matrices import carlitz_matrix, squares_matrix
 from legdet.ntcore import PrimeCtx
 
 
@@ -144,6 +146,22 @@ def test_det_squares_matches_modular_oracle_at_p401():
     assert oracle_legendre(residue, 401) == 1 and oracle_legendre(non_residue, 401) == -1
     for d in (1, residue, non_residue):
         assert det_squares(ctx, d) % q == det_mod(squares_matrix(ctx, d), q), d
+
+
+def test_carlitz_char_poly_matches_interpolated_char_poly():
+    for p in oracle_primes(3, 47):
+        ctx = PrimeCtx.for_prime(p)
+        assert carlitz_char_poly(ctx) == char_poly(carlitz_matrix(ctx)), p
+
+
+def test_carlitz_char_poly_closed_form_and_modular_constant_term():
+    q = (1 << 61) - 1
+    for p in (101, 199):
+        ctx = PrimeCtx.for_prime(p)
+        poly = carlitz_char_poly(ctx)
+        assert poly == _carlitz_expected(p), p
+        # det(0 I - C) = det C, since C has even dimension p - 1
+        assert poly.coeffs[0] % q == det_mod(carlitz_matrix(ctx), q), p
 
 
 def test_pair_product_square():

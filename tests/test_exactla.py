@@ -11,7 +11,7 @@ from legdet.exactla import (
     det_mod,
     hadamard_bound,
 )
-from legdet.matrices import carlitz_matrix, chapman_matrix, squares_matrix
+from legdet.matrices import AffineMatrix, carlitz_matrix, chapman_matrix, squares_matrix
 from legdet.ntcore import PrimeCtx
 
 
@@ -92,6 +92,70 @@ def test_det_affine_always_degree_at_most_one():
         for star in (False, True):
             poly = det_affine(chapman_matrix(ctx, star))
             assert poly.degree() <= 1
+
+
+def _affine_cofactor_check(constants, xs=(-3, 0, 1, 2, 5)):
+    m = AffineMatrix(len(constants), tuple(map(tuple, constants)), "test")
+    poly = det_affine(m)
+    assert poly.degree() <= 1
+    for x in xs:
+        assert poly.eval_at(x) == oracle_det_cofactor(m.at(x)), (constants, x)
+    return poly
+
+
+def test_det_affine_matches_cofactor_on_random_affine_matrices():
+    rng = random.Random(6021)
+    for _ in range(400):
+        dim = rng.randint(0, 6)
+        _affine_cofactor_check(_random_matrix(rng, dim, -2, 2))
+    for _ in range(200):
+        # equal leading columns leave D's first column zero: a column swap
+        dim = rng.randint(2, 6)
+        m = _random_matrix(rng, dim)
+        first = rng.randint(-1, 1)
+        for row in m:
+            row[0] = first
+        _affine_cofactor_check(m)
+    for _ in range(200):
+        # a repeated row makes D singular; one shifted by a constant does not
+        dim = rng.randint(2, 6)
+        m = _random_matrix(rng, dim)
+        i, j = rng.sample(range(dim), 2)
+        shift = rng.randint(-1, 1)
+        m[j] = [c + shift for c in m[i]]
+        poly = _affine_cofactor_check(m)
+        if shift == 0:
+            assert poly == IntPoly.make(())
+
+
+def test_det_affine_hand_cases():
+    # D = [[0, 1, -1], [0, -1, 1]] is singular: every determinant is 0
+    assert _affine_cofactor_check([[1, 0, 2], [1, 1, 1], [1, -1, 3]]) == IntPoly.make(())
+    # D = [[0, 2, -1], [0, -2, -2]] has a zero first column, which the
+    # elimination swaps to the end in two steps; det = x ((2)(-2) - (-1)(-2))
+    assert _affine_cofactor_check([[0, 1, 2], [0, 3, 1], [0, -1, 0]]) == IntPoly.make((0, -6))
+    # one column swap each: D = [[-1, 0, -1], [1, 0, -1]], and D = [[0, 1]]
+    assert _affine_cofactor_check([[1, 0, 2], [0, 0, 1], [2, 0, 1]]) == IntPoly.make((0, -2))
+    assert _affine_cofactor_check([[0, 1], [0, 2]]) == IntPoly.make((0, 1))
+    assert det_affine(AffineMatrix(0, (), "empty")) == IntPoly.make((1,))
+    assert det_affine(AffineMatrix(1, ((-4,),), "one")) == IntPoly.make((-4, 1))
+
+
+def test_det_affine_matches_pointwise_determinants_for_chapman():
+    for p in oracle_primes(3, 113):
+        ctx = PrimeCtx.for_prime(p)
+        for star in (False, True):
+            m = chapman_matrix(ctx, star)
+            poly = det_affine(m)
+            for x in (0, 1, 2):
+                assert poly.eval_at(x) == det_exact(m.at(x)), (p, star, x)
+    q = (1 << 61) - 1
+    ctx = PrimeCtx.for_prime(199)
+    for star in (False, True):
+        m = chapman_matrix(ctx, star)
+        poly = det_affine(m)
+        for x in (0, 1, 2):
+            assert poly.eval_at(x) % q == det_mod(m.at(x), q), (star, x)
 
 
 def test_char_poly_carlitz_closed_forms():

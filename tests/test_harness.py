@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from conftest import run_json
 
 import legdet
@@ -321,6 +323,17 @@ def test_cli_rejects_precision_bits_below_53(capsys):
             assert "--precision-bits" in captured.err and captured.out == ""
         assert cli_main(args + ["--precision-bits", "53"]) == code_at_53, args
         capsys.readouterr()
+
+
+def test_run_rejects_precision_bits_below_53():
+    # at 0 bits class_number cannot run; at 32 bits eigen's float residuals miss
+    # their tolerance, which would read as failures of the identity
+    for checks, pmax, bits in ((("chapman",), 13, 0), (("eigen",), 101, 32)):
+        out = io.StringIO()
+        with pytest.raises(ValueError, match=f"^precision_bits must be at least 53, not {bits}$"):
+            run(RunConfig(checks=checks, pmax=pmax, precision_bits=bits), out)
+        assert out.getvalue() == ""
+    assert run(RunConfig(checks=("eigen",), pmax=13, precision_bits=53), io.StringIO()) == 0
 
 
 def test_cache_skips_a_torn_last_line(tmp_path, capsys):

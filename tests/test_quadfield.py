@@ -3,6 +3,7 @@ import time
 import pytest
 
 from conftest import oracle_primes
+from legdet import quadfield
 from legdet.exactla import IntPoly, det_affine
 from legdet.harness import run_check
 from legdet.matrices import chapman_matrix
@@ -89,6 +90,19 @@ def test_class_data_half_integer_components():
     d229 = class_data(229)
     assert d229.h == 3
     assert d229.eps_h == QuadUnit(3420, 226)  # eps^3 = 1710 + 113 sqrt 229
+
+
+def test_class_data_computes_the_unit_once(monkeypatch):
+    calls = []
+
+    def counting_unit(p):
+        calls.append(p)
+        return fundamental_unit(p)
+
+    monkeypatch.setattr(quadfield, "fundamental_unit", counting_unit)
+    for p in (13, 229):
+        assert class_data(p).h == class_number(p)
+    assert calls == [13, 13, 229, 229]     # one in class_data, one in class_number
 
 
 def _chapman_status(p: int, star: bool) -> str:
