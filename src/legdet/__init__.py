@@ -21,12 +21,13 @@ from .matrices import (
     squares_matrix,
     squares_star_matrix,
 )
-from .exactla import IntPoly, char_poly, det_affine, det_exact, det_mod, hadamard_bound
+from .exactla import IntPoly, char_poly, det_affine, det_exact, det_mod
 from .charsums import (
     CyclotomicElt,
     EigenReport,
     carlitz_char_poly,
     det_squares,
+    det_squares_star,
     eigen_verify,
     eigenvalue_exact,
     product_identity,
@@ -63,11 +64,11 @@ __all__ = [
     "det_exact",
     "det_mod",
     "det_squares",
+    "det_squares_star",
     "eigen_verify",
     "eigenvalue_exact",
     "evil_matrix",
     "fundamental_unit",
-    "hadamard_bound",
     "is_perfect_square",
     "is_prime",
     "jacobsthal_sum",

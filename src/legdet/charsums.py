@@ -1,15 +1,17 @@
 """The eigenvalues of the squares matrix as character sums, exact cyclotomic
-arithmetic in Z[zeta_{p-1}], and two results from circulant Fourier values
-mod word-size primes: the squares-matrix determinant and the Carlitz
+arithmetic in Z[zeta_{p-1}], and four results from circulant Fourier values
+mod word-size primes: the squares-matrix determinants S(d,p) and S*(1,p), the
+eigenvalue product (eigen-CRT, a second route to S(1,p)) and the Carlitz
 characteristic polynomial.
 
 The eigenvalue of index k is lambda_k = sum_{j=1..n} ((1+j^2)/p) chi^k(j^2),
 chi a generator of the character group.  Two evaluation modes exist: exact
 cyclotomic (authoritative; coefficient vectors reduced mod x^(p-1) - 1 during
 arithmetic and canonicalized mod the cyclotomic polynomial only at comparison
-time) and high-precision floating (mpmath for the values, numpy for the
-eigenvector residual sweep, both imported on first use).  Integrality claims
-are never decided by floats: they route through exact determinants.
+time) and high-precision floating (mpmath for the values, imported on first
+use, and numpy for the eigenvector residual sweep, imported only in float
+mode).  Integrality claims are never decided by floats: they route through
+exact determinants.
 """
 
 from __future__ import annotations
@@ -84,14 +86,6 @@ class CyclotomicElt:
     order: int
     coeffs: tuple[int, ...]
 
-    @staticmethod
-    def zero(m: int) -> "CyclotomicElt":
-        return CyclotomicElt(m, (0,) * m)
-
-    @staticmethod
-    def from_int(m: int, c: int) -> "CyclotomicElt":
-        return CyclotomicElt(m, (c,) + (0,) * (m - 1))
-
     def __add__(self, other: "CyclotomicElt") -> "CyclotomicElt":
         return CyclotomicElt(
             self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
@@ -101,19 +95,6 @@ class CyclotomicElt:
         return CyclotomicElt(
             self.order, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
         )
-
-    def __mul__(self, other: "CyclotomicElt") -> "CyclotomicElt":
-        m = self.order
-        out = [0] * m
-        b = other.coeffs
-        for i, x in enumerate(self.coeffs):
-            if x == 0:
-                continue
-            for j, y in enumerate(b):
-                if y:
-                    t = i + j
-                    out[t - m if t >= m else t] += x * y
-        return CyclotomicElt(m, tuple(out))
 
     def conjugate(self) -> "CyclotomicElt":
         """Image under zeta -> zeta^(-1) (complex conjugation)."""
@@ -220,7 +201,6 @@ def eigen_verify(
     eigenvector matrix is nonsingular (the chi(j^2) are pairwise distinct).
     """
     import mpmath
-    import numpy as np
 
     if ctx.cls != 1:
         raise ValueError(f"p={ctx.p} must be 1 (mod 4)")
@@ -265,6 +245,8 @@ def eigen_verify(
             p, "exact", lam_re, (0.0,) * n, max_imag, vandermonde_ok, ok, lams_exact
         )
 
+    import numpy as np
+
     Mf = np.array(squares_matrix(ctx, 1).entries, dtype=np.float64)
     E = np.empty((n, n), dtype=np.int64)
     for k in range(1, n + 1):
@@ -278,25 +260,65 @@ def eigen_verify(
     )
 
 
+# eigen_product's primes q = 1 (mod p - 1) lie above 2^62 and the Fourier
+# primes of det_squares below it, so the two routes share no modulus.
+_EIGEN_BITS = 62
+
+
 def eigen_product(ctx: PrimeCtx) -> int:
-    """The product of all lambda_k, multiplied out in Z[zeta_{p-1}]."""
-    if ctx.cls != 1:
-        raise ValueError(f"p={ctx.p} must be 1 (mod 4)")
-    m = ctx.p - 1
-    acc = CyclotomicElt.from_int(m, 1)
-    for k in range(1, ctx.n + 1):
-        acc = acc * eigenvalue_exact(ctx, k)
-    prod = acc.as_int()
-    if prod is None:
-        raise ArithmeticError("eigenvalue product did not reduce to an integer")
-    return prod
+    """The product of all lambda_k by eigen-CRT: every lambda_k is evaluated
+    as its character sum mod primes q = 1 (mod p - 1), and the products mod q
+    are combined by CRT.
+
+    Mod q, zeta_(p-1) becomes an element z of order p - 1, and lambda_k is
+    sum_(j <= n) ((1+j^2)/p) z^(2k dlog j).  Ordered by the squares g^(2t),
+    S(1,p) is a circulant with exactly these eigenvalues, so their product is
+    det S(1,p) at every odd p, at most n^(n/2) in absolute value by Hadamard;
+    the residues are combined until the modulus exceeds twice that.  This
+    route shares no code with det_squares: it has its own primes (above 2^62,
+    theirs lie below), its own root search and CRT, and it indexes the terms
+    of lambda_k by j rather than by the exponent of g^2.
+    """
+    p, n, m = ctx.p, ctx.n, ctx.p - 1
+    sym, dlog = ctx.symbols, ctx.dlog
+    # the term of j in lambda_k sits at 2k dlog j (mod m) in the table
+    # [z^i mod q] + [-z^i mod q], m further on when ((1+j^2)/p) = -1
+    terms = [(2 * dlog[j] % m, 0 if c > 0 else m)
+             for j in range(1, n + 1) if (c := sym[(1 + j * j) % p])]
+    rows = [[k * e % m + off for e, off in terms] for k in range(1, n + 1)]
+    cofactors = [m // r for r in _factor_trial(m)]
+    sq_bound = 4 * n**n
+    value, modulus = 0, 1
+    t = (1 << _EIGEN_BITS) // m
+    while modulus * modulus <= sq_bound:
+        t += 1
+        q = 1 + m * t
+        if not is_prime(q):
+            continue
+        h = 1
+        while True:                     # z = h^((q-1)/m) has order m
+            h += 1
+            z = pow(h, t, q)
+            if all(pow(z, c, q) != 1 for c in cofactors):
+                break
+        powers = [1] * m
+        for i in range(1, m):
+            powers[i] = powers[i - 1] * z % q
+        get = (powers + [q - x for x in powers]).__getitem__
+        prod = 1
+        for row in rows:
+            prod = prod * sum(map(get, row)) % q
+        value += modulus * ((prod - value) * pow(modulus, -1, q) % q)
+        modulus *= q
+    return value if 2 * value < modulus else value - modulus
 
 
 def product_identity(ctx: PrimeCtx) -> tuple[int, int]:
-    """(product of all lambda_k reduced to an integer, exact det of the matrix).
+    """(product of all lambda_k by eigen-CRT, exact det of the matrix).
 
-    The two values are computed along fully independent routes: cyclotomic
-    multiplication on one side, Bareiss elimination on the other.
+    The two values are computed along routes that share no code: character
+    sums mod primes q = 1 (mod p - 1) on one side, Bareiss elimination on
+    the other.
     """
     return eigen_product(ctx), det_exact(squares_matrix(ctx, 1))
 
@@ -367,6 +389,26 @@ def _crt_signed(residues, sq_bound: int) -> list[int]:
     return [r if 2 * r < modulus else r - modulus for r in res]
 
 
+def _squares_coeffs(ctx: PrimeCtx, d: int) -> list[int]:
+    """c_s = ((1 + d g^(2s))/p), s < n: the first row of S(d,p) in the
+    circulant order of det_squares."""
+    p, sym = ctx.p, ctx.symbols
+    d %= p
+    g2 = ctx.g * ctx.g % p
+    coeffs = []
+    x = 1
+    for _ in range(ctx.n):
+        coeffs.append(sym[(1 + d * x) % p])
+        x = x * g2 % p
+    return coeffs
+
+
+def _squares_tables(n: int):
+    """The Fourier tables of order n for the largest bound any squares-family
+    determinant of dimension n can need, so S(d,p) and S*(1,p) share them."""
+    return _fourier_tables(n, 4 * n**n)
+
+
 def det_squares(ctx: PrimeCtx, d: int) -> int:
     """det S(d,p) = det [((i^2 + d j^2)/p)] from the matrix's circulant structure.
 
@@ -378,19 +420,11 @@ def det_squares(ctx: PrimeCtx, d: int) -> int:
     the modulus exceeds 2 nz^(n/2), the Hadamard bound when every row has nz
     nonzero entries.  Exact for every d and every odd prime.
     """
-    p, n, sym = ctx.p, ctx.n, ctx.symbols
-    d %= p
-    g2 = ctx.g * ctx.g % p
-    coeffs = []
-    x = 1
-    for _ in range(n):
-        coeffs.append(sym[(1 + d * x) % p])
-        x = x * g2 % p
+    coeffs = _squares_coeffs(ctx, d)
     rows = _fourier_rows(coeffs)
 
     def residues():
-        # the tables for the largest bound any d can need, shared by every d
-        for q, table in _fourier_tables(n, 4 * n**n):
+        for q, table in _squares_tables(ctx.n):
             get = table.__getitem__
             det_q = 1
             for row in rows:
@@ -398,7 +432,47 @@ def det_squares(ctx: PrimeCtx, d: int) -> int:
             yield q, (det_q,)
 
     nz = sum(1 for c in coeffs if c)
-    return _crt_signed(residues(), 4 * nz**n)[0]
+    return _crt_signed(residues(), 4 * nz**ctx.n)[0]
+
+
+def det_squares_star(ctx: PrimeCtx) -> int:
+    """det S*(1,p), S(1,p) with its first row replaced by ((j/p))_j, from the
+    adjugate of the circulant of det_squares.
+
+    The first row of S(1,p) is the row of x_0 = 1 in circulant order, so
+    det S* = sum_u r_u adj(C)[u][0], where r_u = (j/p) for the j <= n with
+    j^2 = x_u = g^(2u).  C = F diag(lambda_k) F^-1 with F = [w^(tk)], hence
+    adj(C) = F diag(nu_k) F^-1 with nu_k = prod_(l != k) lambda_l, and
+    det S* = (1/n) sum_k nu_k R_k with R_k = sum_u r_u w^(ku).  The nu_k are
+    taken by prefix and suffix products, so a zero lambda needs no special
+    case.  By Hadamard |det S*| <= sqrt(n) nz^((n-1)/2): the new row has n
+    nonzero entries and every other row nz.  Exact at every odd prime.
+    """
+    p, n, sym = ctx.p, ctx.n, ctx.symbols
+    coeffs = _squares_coeffs(ctx, 1)
+    lam_rows = _fourier_rows(coeffs)
+    r = []
+    x = 1                               # x = g^u, a square root of x_u
+    for _ in range(n):
+        r.append(sym[x if x <= n else p - x])
+        x = x * ctx.g % p
+    r_rows = _fourier_rows(r)
+
+    def residues():
+        for q, table in _squares_tables(n):
+            get = table.__getitem__
+            lams = [sum(map(get, row)) % q for row in lam_rows]
+            suffix = [1] * (n + 1)      # suffix[k] = prod_(l >= k) lambda_l
+            for k in range(n - 1, -1, -1):
+                suffix[k] = suffix[k + 1] * lams[k] % q
+            acc, prefix = 0, 1
+            for lam, nu_tail, row in zip(lams, suffix[1:], r_rows):
+                acc += prefix * nu_tail % q * sum(map(get, row))
+                prefix = prefix * lam % q
+            yield q, (acc * pow(n, -1, q) % q,)
+
+    nz = sum(1 for c in coeffs if c)
+    return _crt_signed(residues(), 4 * n * nz ** (n - 1))[0]
 
 
 def carlitz_char_poly(ctx: PrimeCtx) -> IntPoly:

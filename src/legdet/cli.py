@@ -14,13 +14,7 @@ import sys
 from . import charsums
 from .exactla import det_affine, det_exact
 from .harness import CHECK_IDS, CHECKS, RunConfig, check_precision_bits, run
-from .matrices import (
-    carlitz_matrix,
-    chapman_matrix,
-    evil_matrix,
-    squares_matrix,
-    squares_star_matrix,
-)
+from .matrices import carlitz_matrix, chapman_matrix, evil_matrix
 from .ntcore import PrimeCtx
 
 
@@ -98,9 +92,9 @@ def _cmd_verify(args) -> int:
 def _cmd_det(args) -> int:
     ctx = PrimeCtx.for_prime(args.p)
     if args.matrix == "s":
-        print(det_exact(squares_matrix(ctx, args.d)))
+        print(charsums.det_squares(ctx, args.d))
     elif args.matrix == "sstar":
-        print(det_exact(squares_star_matrix(ctx)))
+        print(charsums.det_squares_star(ctx))
     elif args.matrix == "carlitz":
         print(det_exact(carlitz_matrix(ctx)))
     elif args.matrix == "evil":

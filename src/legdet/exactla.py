@@ -1,8 +1,11 @@
 """Exact linear algebra over arbitrary-precision integers.
 
-det_exact is fraction-free Bareiss elimination (every division is exact), the
-primary determinant path for the whole package.  det_mod is an independent
-cross-check oracle over F_q, deliberately sharing no code with det_exact.
+det_exact is fraction-free Bareiss elimination (every division is exact).  The
+checks take the squares-family determinants from the circulant routes in
+charsums; det_exact is their second route for S(1,p) up to n = 100 and the
+determinant of `legdet det` for the Carlitz and evil matrices.  det_mod is an
+independent cross-check oracle over F_q, deliberately sharing no code with
+det_exact.
 det_affine runs one Bareiss elimination on the row differences of a matrix
 [x + c_ij] and gets both coefficients of its determinant.  char_poly evaluates
 det_exact at dim+1 points and interpolates exactly; the checks take the
@@ -148,14 +151,13 @@ def det_mod(m, q: int) -> int:
         akk = a[k][k]
         det = det * akk % q
         inv = pow(akk, -1, q)
-        row_k = a[k]
+        tail = a[k][k:]
         for i in range(k + 1, dim):
-            f = a[i][k]
+            ri = a[i]
+            f = ri[k]
             if f:
                 f = f * inv % q
-                ri = a[i]
-                for j in range(k, dim):
-                    ri[j] = (ri[j] - f * row_k[j]) % q
+                ri[k:] = [(x - f * y) % q for x, y in zip(ri[k:], tail)]
     return det
 
 
@@ -251,14 +253,3 @@ def _interpolate(values: list[int]) -> list[Fraction]:
         ints.append(c.numerator)
     return ints
 
-
-def hadamard_bound(m) -> int:
-    """Ceiling of the Hadamard bound: |det| <= ceil(sqrt(prod of row norms^2))."""
-    prod = 1
-    for row in _rows(m):
-        s = sum(x * x for x in row)
-        if s == 0:
-            return 0
-        prod *= s
-    r = math.isqrt(prod)
-    return r if r * r == prod else r + 1

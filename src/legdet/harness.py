@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import charsums, quadfield
 from .exactla import IntPoly, det_affine, det_exact
-from .matrices import chapman_matrix, squares_matrix, squares_star_matrix
+from .matrices import chapman_matrix, squares_matrix
 from .ntcore import (
     PrimeCtx,
     is_perfect_square,
@@ -78,13 +78,18 @@ def default_d_list(p: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
+# S(1,p) is confirmed by Bareiss up to this n and by eigen-CRT above it.
+BAREISS_NMAX = 100
+
+
 class PrimeWork:
     """One prime's context and its squares-matrix determinants S(d,p), each
-    computed once.
+    computed once by the circulant route (charsums.det_squares).
 
-    S(1,p) comes from Bareiss elimination (det_exact); every other d comes
-    from the circulant route (charsums.det_squares).  theorem-a compares the
-    two routes.
+    S(1,p) is returned only once a second route that shares no code with
+    det_squares agrees: Bareiss elimination (det_exact) for n <= BAREISS_NMAX,
+    eigen-CRT (charsums.eigen_product) above.  A disagreement raises
+    ArithmeticError.
     """
 
     def __init__(self, p: int):
@@ -94,11 +99,23 @@ class PrimeWork:
     def det(self, d: int) -> int:
         d %= self.ctx.p
         if d not in self._dets:
+            s_val = charsums.det_squares(self.ctx, d)
             if d == 1:
-                self._dets[d] = det_exact(squares_matrix(self.ctx, 1))
-            else:
-                self._dets[d] = charsums.det_squares(self.ctx, d)
+                if self.ctx.n <= BAREISS_NMAX:
+                    other = det_exact(squares_matrix(self.ctx, 1))
+                else:
+                    other = self.eigen_product
+                if other != s_val:
+                    raise ArithmeticError(
+                        f"S(1,{self.ctx.p}): det_squares gives {s_val}, "
+                        f"the second route {other}")
+            self._dets[d] = s_val
         return self._dets[d]
+
+    @functools.cached_property
+    def eigen_product(self) -> int:
+        """The product of the eigenvalues of S(1,p), by eigen-CRT."""
+        return charsums.eigen_product(self.ctx)
 
 
 @functools.lru_cache(maxsize=1)
@@ -139,9 +156,7 @@ def _check_theorem_a(work: PrimeWork, opts: dict) -> list[CheckResult]:
             sign = perm_sign_cycles(ctx, d)
             wit["sign"] = str(sign)
             wit["S1"] = str(work.det(1))
-            # the circulant S(d,p) against sign * the Bareiss S(1,p)
-            circulant = charsums.det_squares(ctx, 1) if d == 1 else s_val
-            ok = ok and circulant == sign * work.det(1)
+            ok = ok and s_val == sign * work.det(1)
         out.append(
             CheckResult("theorem-a", p, {"d": d}, "pass" if ok else "fail", wit)
         )
@@ -169,7 +184,7 @@ def _check_corollary_a(work: PrimeWork, opts: dict) -> list[CheckResult]:
     ctx, p = work.ctx, work.ctx.p
     a = ctx.decomp.a
     s_val = work.det(1)
-    star = det_exact(squares_star_matrix(ctx))
+    star = charsums.det_squares_star(ctx)
     root = is_perfect_square(-star)
     ok = root is not None and star * a == -s_val
     wit = {"Sstar": str(star), "S": str(s_val), "a": str(a)}
@@ -234,7 +249,7 @@ def _revalidate_eigen(r: CheckResult) -> bool:
 
 def _check_product(work: PrimeWork, opts: dict) -> list[CheckResult]:
     p = work.ctx.p
-    prod, det = charsums.eigen_product(work.ctx), work.det(1)
+    prod, det = work.eigen_product, work.det(1)
     wit = {"prod": str(prod), "det": str(det)}
     return [CheckResult("product", p, None, "pass" if prod == det else "fail", wit)]
 

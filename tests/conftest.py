@@ -3,14 +3,15 @@ checks through the code `legdet verify --format json` runs.
 
 The oracles deliberately avoid the library's code paths: symbols by Euler's
 criterion on raw pow, determinants by cofactor expansion, primality by trial
-division.  They are the reference implementations the fast paths are checked
-against.
+division, unit minimality by the Pell unit of Z[sqrt p].  They are the
+reference implementations the fast paths are checked against.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import math
 
 from legdet.harness import RunConfig, run
 
@@ -80,3 +81,49 @@ def oracle_perm_sign_inversions(perm: list[int]) -> int:
             if perm[i] > perm[j]:
                 inv += 1
     return -1 if inv % 2 else 1
+
+
+def oracle_pell_unit(p: int) -> tuple[int, int]:
+    """The fundamental unit x + y sqrt(p) of Z[sqrt p] (x, y > 0, norm +-1),
+    for a non-square p > 1: the convergent of sqrt(p) that ends its first
+    continued-fraction period."""
+    a0 = math.isqrt(p)
+    m, d, a = 0, 1, a0
+    h_prev, h = 1, a0
+    k_prev, k = 0, 1
+    while True:
+        m = d * a - m
+        d = (p - m * m) // d
+        a = (a0 + m) // d
+        if a == 2 * a0:
+            return h, k
+        h_prev, h = h, a * h + h_prev
+        k_prev, k = k, a * k + k_prev
+
+
+def oracle_is_fundamental_unit(p: int, u: int, v: int) -> bool:
+    """Whether (u + v sqrt p)/2, u, v > 0 and of norm +-1, is the fundamental
+    unit of the ring of integers O of Q(sqrt p), for a prime p = 1 (mod 4).
+
+    The Pell unit of Z[sqrt p] is the fundamental unit eps when eps lies in
+    Z[sqrt p] (u, v even) and eps^3 otherwise.  With u, v even, eps could
+    also be the cube of an odd fundamental unit; so it must have no cube root
+    in O, i.e. no integer t with t^3 - 3 N t = u, N = N(eps) (the trace of
+    delta^3 for delta of trace t and norm N).
+    """
+    norm = (u * u - p * v * v) // 4
+    if u % 2 == 0 and v % 2 == 0:
+        if oracle_pell_unit(p) != (u // 2, v // 2):
+            return False
+        # t^3 - 3 N t is below u at t = 0, 1 and increasing from t = 1 on,
+        # so bisect for the least t in [0, u] where it reaches u
+        lo, hi = 0, u
+        while lo < hi:
+            t = (lo + hi) // 2
+            if t ** 3 - 3 * norm * t < u:
+                lo = t + 1
+            else:
+                hi = t
+        return lo ** 3 - 3 * norm * lo != u
+    cube = ((u ** 3 + 3 * p * u * v * v) // 8, (3 * u * u * v + p * v ** 3) // 8)
+    return oracle_pell_unit(p) == cube

@@ -8,6 +8,7 @@ from legdet.charsums import (
     carlitz_char_poly,
     cyclotomic_polynomial,
     det_squares,
+    det_squares_star,
     eigen_product,
     eigen_verify,
     eigenvalue_exact,
@@ -16,7 +17,7 @@ from legdet.charsums import (
 )
 from legdet.exactla import char_poly, det_exact, det_mod
 from legdet.harness import _carlitz_expected
-from legdet.matrices import carlitz_matrix, squares_matrix
+from legdet.matrices import carlitz_matrix, squares_matrix, squares_star_matrix
 from legdet.ntcore import PrimeCtx
 
 
@@ -41,22 +42,27 @@ def test_cyclotomic_polynomials():
 
 def test_cyclotomic_elt_arithmetic():
     m = 12
-    zeta = CyclotomicElt(m, tuple(1 if t == 1 else 0 for t in range(m)))
-    one = CyclotomicElt.from_int(m, 1)
-    prod = (zeta + one) * (zeta - one)  # zeta^2 - 1
-    expected = CyclotomicElt(
-        m, tuple(1 if t == 2 else (-1 if t == 0 else 0) for t in range(m))
-    )
-    assert prod.canonical() == expected.canonical()
-    assert (prod - expected).is_zero()
+
+    def monomial(t, c=1):
+        return CyclotomicElt(m, tuple(c if i == t else 0 for i in range(m)))
+
+    zeta, one = monomial(1), monomial(0)
+    # Phi_12(zeta) = zeta^4 - zeta^2 + 1 = 0 in Z[zeta_12]
+    assert (monomial(4) - monomial(2) + one).is_zero()
+    assert (monomial(4) + one).canonical() == monomial(2).canonical()
+    assert not (zeta - one).is_zero()
     assert one.as_int() == 1
-    assert CyclotomicElt.zero(m).as_int() == 0
+    assert CyclotomicElt(m, (0,) * m).as_int() == 0
     assert zeta.as_int() is None
-    # zeta^6 = -1 in Z[zeta_12]
-    z6 = CyclotomicElt(m, tuple(1 if t == 6 else 0 for t in range(m)))
-    assert z6.as_int() == -1
-    # conjugation sends zeta to zeta^11
+    # zeta^6 = -1 and zeta^3 + zeta^9 = 0 in Z[zeta_12]
+    assert monomial(6).as_int() == -1
+    assert (monomial(3) + monomial(9)).as_int() == 0
+    assert monomial(6, 3).as_int() == -3
+    # conjugation sends zeta to zeta^11, and zeta + zeta^11 = sqrt 3 is real
     assert zeta.conjugate().coeffs[11] == 1
+    real = zeta + zeta.conjugate()
+    assert (real - real.conjugate()).is_zero()
+    assert real.as_int() is None
 
 
 def test_eigenvalue_known_values():
@@ -131,6 +137,18 @@ def test_product_identity():
     assert eigen_product(PrimeCtx.for_prime(29)) == prod
 
 
+def test_eigen_product_matches_bareiss_in_both_classes():
+    for p in oracle_primes(3, 119):
+        ctx = PrimeCtx.for_prime(p)
+        assert eigen_product(ctx) == det_exact(squares_matrix(ctx, 1)), p
+
+
+def test_eigen_product_matches_det_squares_past_n_100():
+    for p in (211, 401, 1009):
+        ctx = PrimeCtx.for_prime(p)
+        assert eigen_product(ctx) == det_squares(ctx, 1), p
+
+
 def test_det_squares_matches_bareiss_for_every_d():
     # both prime classes, every d including 0 and the non-residues
     for p in oracle_primes(3, 119):
@@ -146,6 +164,19 @@ def test_det_squares_matches_modular_oracle_at_p401():
     assert oracle_legendre(residue, 401) == 1 and oracle_legendre(non_residue, 401) == -1
     for d in (1, residue, non_residue):
         assert det_squares(ctx, d) % q == det_mod(squares_matrix(ctx, d), q), d
+
+
+def test_det_squares_star_matches_bareiss():
+    for p in oracle_primes(3, 199):
+        ctx = PrimeCtx.for_prime(p)
+        assert det_squares_star(ctx) == det_exact(squares_star_matrix(ctx)), p
+
+
+def test_det_squares_star_matches_modular_oracle():
+    q = (1 << 61) - 1
+    for p in (401, 797):
+        ctx = PrimeCtx.for_prime(p)
+        assert det_squares_star(ctx) % q == det_mod(squares_star_matrix(ctx), q), p
 
 
 def test_carlitz_char_poly_matches_interpolated_char_poly():

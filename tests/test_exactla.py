@@ -3,14 +3,7 @@ import random
 import pytest
 
 from conftest import oracle_det_cofactor, oracle_is_prime, oracle_primes
-from legdet.exactla import (
-    IntPoly,
-    char_poly,
-    det_affine,
-    det_exact,
-    det_mod,
-    hadamard_bound,
-)
+from legdet.exactla import IntPoly, char_poly, det_affine, det_exact, det_mod
 from legdet.matrices import AffineMatrix, carlitz_matrix, chapman_matrix, squares_matrix
 from legdet.ntcore import PrimeCtx
 
@@ -184,18 +177,6 @@ def test_char_poly_against_cofactor_at_fresh_points():
                 for i in range(dim)
             ]
             assert poly.eval_at(t) == oracle_det_cofactor(shifted)
-
-
-def test_hadamard_bound():
-    assert hadamard_bound([[1, 1], [1, -1]]) == 2
-    assert hadamard_bound([[0, 0], [0, 0]]) == 0
-    m13 = squares_matrix(PrimeCtx.for_prime(13), 1)
-    assert hadamard_bound(m13) >= 27
-    rng = random.Random(4)
-    for _ in range(200):
-        dim = rng.randint(1, 6)
-        m = _random_matrix(rng, dim, -3, 3)
-        assert abs(det_exact([row[:] for row in m])) <= hadamard_bound(m)
 
 
 def test_int_poly_basics():

@@ -14,11 +14,15 @@ import pytest
 from conftest import run_json
 
 import legdet
+from legdet import charsums, harness
 from legdet.cli import main as cli_main
+from legdet.exactla import det_exact
 from legdet.harness import (
     CHECK_IDS,
     CheckResult,
+    PrimeWork,
     RunConfig,
+    _check_product,
     applicable_primes,
     code_version,
     default_d_list,
@@ -28,6 +32,8 @@ from legdet.harness import (
     run,
     run_check,
 )
+from legdet.matrices import squares_matrix, squares_star_matrix
+from legdet.ntcore import PrimeCtx
 
 
 def test_primes_between():
@@ -404,6 +410,54 @@ def test_cli_import_leaves_numpy_and_mpmath_unloaded():
     assert out.strip() == "[]"
 
 
+def test_exact_eigen_verify_leaves_numpy_unloaded():
+    code = ("import sys; from legdet.charsums import eigen_verify; "
+            "from legdet.ntcore import PrimeCtx; "
+            "report = eigen_verify(PrimeCtx.for_prime(13)); "
+            "print(report.mode, report.ok, 'numpy' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(legdet.__file__).parent.parent), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.split() == ["exact", "True", "False"]
+
+
+def _counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records each call; return the record."""
+    calls = []
+    orig = getattr(module, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return orig(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_second_route_for_s1_switches_above_n_100(monkeypatch):
+    bareiss = _counting(monkeypatch, harness, "det_exact")
+    eigen = _counting(monkeypatch, charsums, "eigen_product")
+    assert harness.BAREISS_NMAX == 100
+    work = PrimeWork(199)                   # n = 99
+    assert work.det(1) == charsums.det_squares(work.ctx, 1)
+    assert (len(bareiss), len(eigen)) == (1, 0)
+    work = PrimeWork(211)                   # n = 105
+    assert work.det(1) == charsums.det_squares(work.ctx, 1)
+    assert (len(bareiss), len(eigen)) == (1, 1)
+    work.det(1)
+    [result] = _check_product(work, {})
+    assert result.status == "pass"
+    assert (len(bareiss), len(eigen)) == (1, 1)     # each route ran once
+
+
+def test_s1_routes_that_disagree_raise(monkeypatch):
+    orig = charsums.eigen_product
+    monkeypatch.setattr(charsums, "eigen_product", lambda ctx: orig(ctx) + 1)
+    with pytest.raises(ArithmeticError):
+        PrimeWork(211).det(1)
+
+
 def test_public_and_traced_names_resolve():
     # perfbench/tracer.py looks each traced function up by name; read, not import
     for name in legdet.__all__:
@@ -422,8 +476,16 @@ def test_public_and_traced_names_resolve():
 def test_cli_det(capsys):
     assert cli_main(["det", "--matrix", "s", "--p", "13"]) == 0
     assert capsys.readouterr().out.strip() == "-27"
+    assert cli_main(["det", "--matrix", "sstar", "--p", "13"]) == 0
+    assert capsys.readouterr().out.strip() == "-9"
     assert cli_main(["det", "--matrix", "sstar", "--p", "17"]) == 0
     assert capsys.readouterr().out.strip() == "-441"
+    for p in (7, 29, 43, 61):
+        ctx = PrimeCtx.for_prime(p)
+        for args, matrix in ((["s", "--d", "3"], squares_matrix(ctx, 3)),
+                             (["sstar"], squares_star_matrix(ctx))):
+            assert cli_main(["det", "--p", str(p), "--matrix", *args]) == 0
+            assert capsys.readouterr().out.strip() == str(det_exact(matrix)), (p, args)
     assert cli_main(["det", "--matrix", "chapman", "--p", "13"]) == 0
     assert capsys.readouterr().out.strip() == "96*x - 32"
     assert cli_main(["det", "--matrix", "s", "--p", "13", "--d", "2"]) == 0

@@ -2,7 +2,7 @@ import time
 
 import pytest
 
-from conftest import oracle_primes
+from conftest import oracle_is_fundamental_unit, oracle_primes
 from legdet import quadfield
 from legdet.exactla import IntPoly, det_affine
 from legdet.harness import run_check
@@ -33,14 +33,12 @@ def test_fundamental_unit_norm_and_minimality():
         assert unit_norm(eps, p) in (1, -1)
         assert eps.u > 0 and eps.v > 0
         assert (eps.u - eps.v) % 2 == 0
-        # no unit with smaller positive v exists
-        for v in range(1, eps.v):
-            for delta in (-4, 4):
-                uu = p * v * v + delta
-                if uu >= 0:
-                    r = int(uu**0.5)
-                    for u in (r - 1, r, r + 1):
-                        assert u * u != uu or u <= 0, (p, u, v)
+        # no unit between 1 and eps: the Pell-unit oracle accepts eps and
+        # rejects its powers
+        assert oracle_is_fundamental_unit(p, eps.u, eps.v), p
+        for k in (2, 3, 5):
+            power = unit_pow(eps, k, p)
+            assert not oracle_is_fundamental_unit(p, power.u, power.v), (p, k)
 
 
 def test_fundamental_unit_large_primes():
