@@ -41,39 +41,30 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     poly = [-1] + [0] * (m - 1) + [1]
     for d in range(1, m):
         if m % d == 0:
-            poly = _poly_div_exact(poly, cyclotomic_polynomial(d))
+            poly, rem = _divmod_monic(poly, cyclotomic_polynomial(d))
+            if any(rem):
+                raise ArithmeticError("polynomial division left a remainder")
     return tuple(poly)
 
 
-def _poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
-    """Exact division of integer polynomials with monic divisor."""
-    num = list(num)
+def _divmod_monic(num, den) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of integer polynomials (low degree first) by a
+    monic divisor."""
+    rem = list(num)
     dn = len(den) - 1
-    out = [0] * (len(num) - dn)
-    for i in range(len(num) - 1, dn - 1, -1):
-        c = num[i]
-        if c == 0:
-            continue
-        out[i - dn] = c
-        for j, dc in enumerate(den):
-            num[i - dn + j] -= c * dc
-    if any(num):
-        raise ArithmeticError("polynomial division left a remainder")
-    return out
+    quot = [0] * max(len(rem) - dn, 0)
+    for i in range(len(rem) - 1, dn - 1, -1):
+        c = rem[i]
+        if c:
+            quot[i - dn] = c
+            for j, dc in enumerate(den):
+                rem[i - dn + j] -= c * dc
+    return quot, rem[:dn]
 
 
 def _reduce_mod_cyclotomic(vec, m: int) -> tuple[int, ...]:
     """Canonical form of sum c_t zeta^t: remainder mod the m-th cyclotomic poly."""
-    phi = cyclotomic_polynomial(m)
-    deg = len(phi) - 1
-    rem = list(vec)
-    for i in range(len(rem) - 1, deg - 1, -1):
-        c = rem[i]
-        if c == 0:
-            continue
-        rem[i] = 0
-        for j in range(deg):
-            rem[i - deg + j] -= c * phi[j]
+    rem = _divmod_monic(vec, cyclotomic_polynomial(m))[1]
     while rem and rem[-1] == 0:
         rem.pop()
     return tuple(rem)
@@ -362,13 +353,20 @@ def _fourier_tables(m: int, sq_bound: int) -> tuple[tuple[int, list[int]], ...]:
     return tuple(tables)
 
 
-def _fourier_rows(coeffs: list[int]) -> list[list[int]]:
-    """For c_s in {-1, 0, 1}, row k lists where each term c_s w^(ks) of the
-    k-th Fourier value sum_s c_s w^(ks) sits in a Fourier table of order
-    m = len(coeffs): at k*s mod m, m further on if c_s = -1."""
-    m = len(coeffs)
-    terms = [(s, 0 if c > 0 else m) for s, c in enumerate(coeffs) if c]
-    return [[k * s % m + off for s, off in terms] for k in range(m)]
+def _fourier_values(m: int, sq_bound: int, *vectors):
+    """Yield (q, values) for each table of _fourier_tables(m, sq_bound), where
+    values[i][k] = sum_s c_s w^(ks) mod q for the i-th vector (c_s), k < m.
+
+    Each c_s is -1, 0 or 1 and each vector has length m, so the term c_s w^(ks)
+    sits in the table at k*s mod m, m further on if c_s = -1.  Lazy: no table
+    past the one a caller stops at is read."""
+    index_rows = []
+    for vec in vectors:
+        terms = [(s, 0 if c > 0 else m) for s, c in enumerate(vec) if c]
+        index_rows.append([[k * s % m + off for s, off in terms] for k in range(m)])
+    for q, table in _fourier_tables(m, sq_bound):
+        get = table.__getitem__
+        yield q, [[sum(map(get, row)) % q for row in rows] for rows in index_rows]
 
 
 def _crt_signed(residues, sq_bound: int) -> list[int]:
@@ -403,12 +401,6 @@ def _squares_coeffs(ctx: PrimeCtx, d: int) -> list[int]:
     return coeffs
 
 
-def _squares_tables(n: int):
-    """The Fourier tables of order n for the largest bound any squares-family
-    determinant of dimension n can need, so S(d,p) and S*(1,p) share them."""
-    return _fourier_tables(n, 4 * n**n)
-
-
 def det_squares(ctx: PrimeCtx, d: int) -> int:
     """det S(d,p) = det [((i^2 + d j^2)/p)] from the matrix's circulant structure.
 
@@ -420,19 +412,20 @@ def det_squares(ctx: PrimeCtx, d: int) -> int:
     the modulus exceeds 2 nz^(n/2), the Hadamard bound when every row has nz
     nonzero entries.  Exact for every d and every odd prime.
     """
+    n = ctx.n
     coeffs = _squares_coeffs(ctx, d)
-    rows = _fourier_rows(coeffs)
 
     def residues():
-        for q, table in _squares_tables(ctx.n):
-            get = table.__getitem__
+        # 4 n^n bounds every determinant of dimension n with entries in
+        # {-1, 0, 1}, so S(d,p) for every d and S*(1,p) share these tables
+        for q, (lams,) in _fourier_values(n, 4 * n**n, coeffs):
             det_q = 1
-            for row in rows:
-                det_q = det_q * sum(map(get, row)) % q
+            for lam in lams:
+                det_q = det_q * lam % q
             yield q, (det_q,)
 
     nz = sum(1 for c in coeffs if c)
-    return _crt_signed(residues(), 4 * nz**ctx.n)[0]
+    return _crt_signed(residues(), 4 * nz**n)[0]
 
 
 def det_squares_star(ctx: PrimeCtx) -> int:
@@ -450,24 +443,20 @@ def det_squares_star(ctx: PrimeCtx) -> int:
     """
     p, n, sym = ctx.p, ctx.n, ctx.symbols
     coeffs = _squares_coeffs(ctx, 1)
-    lam_rows = _fourier_rows(coeffs)
     r = []
     x = 1                               # x = g^u, a square root of x_u
     for _ in range(n):
         r.append(sym[x if x <= n else p - x])
         x = x * ctx.g % p
-    r_rows = _fourier_rows(r)
 
     def residues():
-        for q, table in _squares_tables(n):
-            get = table.__getitem__
-            lams = [sum(map(get, row)) % q for row in lam_rows]
+        for q, (lams, r_hat) in _fourier_values(n, 4 * n**n, coeffs, r):
             suffix = [1] * (n + 1)      # suffix[k] = prod_(l >= k) lambda_l
             for k in range(n - 1, -1, -1):
                 suffix[k] = suffix[k + 1] * lams[k] % q
             acc, prefix = 0, 1
-            for lam, nu_tail, row in zip(lams, suffix[1:], r_rows):
-                acc += prefix * nu_tail % q * sum(map(get, row))
+            for lam, nu_tail, r_k in zip(lams, suffix[1:], r_hat):
+                acc += prefix * nu_tail % q * r_k
                 prefix = prefix * lam % q
             yield q, (acc * pow(n, -1, q) % q,)
 
@@ -490,16 +479,13 @@ def carlitz_char_poly(ctx: PrimeCtx) -> IntPoly:
     The residues are combined by CRT until the modulus exceeds twice that.
     """
     p, sym = ctx.p, ctx.symbols
-    rows = _fourier_rows([sym[-s % p] for s in range(p)])
     # (1 + sqrt(p-1))^2 <= p + ceil(2 sqrt(p-1)), and isqrt(4m - 1) + 1 = ceil(2 sqrt m)
     sq_bound = 4 * (p + math.isqrt(4 * p - 5) + 1) ** (p - 1)
 
     def residues():
-        for q, table in _fourier_tables(p, sq_bound):
-            get = table.__getitem__
+        for q, (mus,) in _fourier_values(p, sq_bound, [sym[-s % p] for s in range(p)]):
             chi = [1]                                   # low degree first
-            for row in rows:
-                mu = sum(map(get, row)) % q
+            for mu in mus:
                 chi = [(a - mu * b) % q for a, b in zip([0] + chi, chi + [0])]
             inv_p = pow(p, -1, q)
             yield q, [k * c * inv_p % q for k, c in enumerate(chi) if k]

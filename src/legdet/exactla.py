@@ -1,23 +1,24 @@
 """Exact linear algebra over arbitrary-precision integers.
 
-det_exact is fraction-free Bareiss elimination (every division is exact).  The
-checks take the squares-family determinants from the circulant routes in
-charsums; det_exact is their second route for S(1,p) up to n = 100 and the
-determinant of `legdet det` for the Carlitz and evil matrices.  det_mod is an
-independent cross-check oracle over F_q, deliberately sharing no code with
-det_exact.
-det_affine runs one Bareiss elimination on the row differences of a matrix
-[x + c_ij] and gets both coefficients of its determinant.  char_poly evaluates
-det_exact at dim+1 points and interpolates exactly; the checks take the
-Carlitz polynomial from charsums.carlitz_char_poly instead, and char_poly is
-the reference the tests compare it with.
+One fraction-free (Bareiss) elimination, _eliminate, computes every integer
+determinant here: it eliminates dim - 1 rows and carries one or more further
+rows along, so each carried row t yields det [t; rows].  det_exact carries
+row 0 of its matrix.  det_affine carries two rows for a matrix [x + c_ij]:
+after row 0 is subtracted from the others, x is left in row 0 alone, and the
+two carried rows give both coefficients of the determinant.  The checks take
+the squares-family determinants from the circulant routes in charsums;
+det_exact is their second route for S(1,p) up to n = 100 and the determinant
+of `legdet det` for the Carlitz and evil matrices.  det_mod is an independent
+cross-check oracle over F_q, deliberately sharing no code with det_exact.
+char_poly evaluates det_exact at dim+1 points and interpolates in integers
+by Newton's forward differences; the checks take the Carlitz polynomial from
+charsums.carlitz_char_poly instead, and char_poly is the reference the tests
+compare it with.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .matrices import AffineMatrix
 
@@ -95,41 +96,53 @@ def _rows(m) -> list[list[int]]:
     return [list(r) for r in grid]
 
 
-def det_exact(m) -> int:
-    """Exact determinant by Bareiss fraction-free elimination.
+def _eliminate(rows: list[list[int]], tops: list[list[int]]) -> list[int]:
+    """det [t; rows] for each carried row t, by one fraction-free elimination.
 
-    Zero pivots are repaired by searching the column below and swapping; a
-    fully zero column short-circuits to 0.  The empty matrix has determinant 1.
+    rows holds dim - 1 rows of length dim.  Bareiss elimination over them, with
+    row and column swaps where a pivot is zero, carries every t along as the
+    last row, so t ends up holding det [rows; t] in its last entry; every
+    division is exact.  If rows has rank below dim - 1, every determinant is 0.
+    Both arguments are overwritten.
     """
-    a = _rows(m)
-    dim = len(a)
-    if dim == 0:
-        return 1
-    if any(len(r) != dim for r in a):
-        raise ValueError("matrix is not square")
-    sign = 1
+    dim = len(rows) + 1
+    sign = -1 if dim % 2 == 0 else 1     # (-1)^(dim-1): t moved from last to first
     prev = 1
     for k in range(dim - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, dim):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot_row = a[k]
+        if rows[k][k] == 0:
+            pivot_at = next(
+                ((i, j) for j in range(k, dim) for i in range(k, dim - 1) if rows[i][j]),
+                None,
+            )
+            if pivot_at is None:
+                return [0] * len(tops)
+            i, j = pivot_at
+            if i != k:
+                rows[k], rows[i] = rows[i], rows[k]
+                sign = -sign
+            if j != k:
+                for r in rows + tops:
+                    r[k], r[j] = r[j], r[k]
+                sign = -sign
+        pivot_row = rows[k]
         pivot = pivot_row[k]
         tail = pivot_row[k + 1:]
-        for i in range(k + 1, dim):
-            ri = a[i]
+        for ri in rows[k + 1:] + tops:
             f = ri[k]
-            if prev == 1:
-                ri[k + 1:] = [pivot * x - f * y for x, y in zip(ri[k + 1:], tail)]
-            else:
-                ri[k + 1:] = [(pivot * x - f * y) // prev for x, y in zip(ri[k + 1:], tail)]
+            ri[k + 1:] = [(pivot * x - f * y) // prev for x, y in zip(ri[k + 1:], tail)]
         prev = pivot
-    return sign * a[dim - 1][dim - 1]
+    return [sign * t[-1] for t in tops]
+
+
+def det_exact(m) -> int:
+    """Exact determinant: one fraction-free elimination of rows 1..dim-1 that
+    carries row 0 along.  The empty matrix has determinant 1."""
+    a = _rows(m)
+    if not a:
+        return 1
+    if any(len(r) != len(a) for r in a):
+        raise ValueError("matrix is not square")
+    return _eliminate(a[1:], a[:1])[0]
 
 
 def det_mod(m, q: int) -> int:
@@ -167,43 +180,14 @@ def det_affine(m: AffineMatrix) -> IntPoly:
     Subtracting row 0 from every other row leaves x in row 0 alone, so
     det = det[K_0; D] + x det[1; D], where K_0 is row 0 of the constants and
     D holds the rows K_i - K_0: the result is affine by construction.  One
-    fraction-free elimination over D, with row and column swaps, carries both
-    candidate rows K_0 and (1, ..., 1) along; if D has rank below dim - 1,
-    both determinants are 0.
+    elimination over D carries both candidate rows K_0 and (1, ..., 1) along.
     """
     rows = _rows(m.constants)
-    dim = len(rows)
-    if dim == 0:
+    if not rows:
         return IntPoly.make((1,))
     k0 = rows[0]
-    a = [[x - y for x, y in zip(r, k0)] for r in rows[1:]]
-    tops = [list(k0), [1] * dim]
-    sign = -1 if dim % 2 == 0 else 1     # (-1)^(dim-1): row 0 moved below D
-    prev = 1
-    for k in range(dim - 1):
-        if a[k][k] == 0:
-            pivot_at = next(
-                ((i, j) for j in range(k, dim) for i in range(k, dim - 1) if a[i][j]),
-                None,
-            )
-            if pivot_at is None:
-                return IntPoly(())
-            i, j = pivot_at
-            if i != k:
-                a[k], a[i] = a[i], a[k]
-                sign = -sign
-            if j != k:
-                for r in a + tops:
-                    r[k], r[j] = r[j], r[k]
-                sign = -sign
-        pivot_row = a[k]
-        pivot = pivot_row[k]
-        tail = pivot_row[k + 1:]
-        for ri in a[k + 1:] + tops:
-            f = ri[k]
-            ri[k + 1:] = [(pivot * x - f * y) // prev for x, y in zip(ri[k + 1:], tail)]
-        prev = pivot
-    return IntPoly.make((sign * tops[0][-1], sign * tops[1][-1]))
+    d = [[x - y for x, y in zip(r, k0)] for r in rows[1:]]
+    return IntPoly.make(_eliminate(d, [list(k0), [1] * len(rows)]))
 
 
 def char_poly(m) -> IntPoly:
@@ -225,31 +209,24 @@ def char_poly(m) -> IntPoly:
     return poly
 
 
-def _interpolate(values: list[int]) -> list[Fraction]:
-    """Lagrange interpolation at nodes 0..len(values)-1; result must be integral."""
-    npts = len(values)
-    # master = prod (x - s)
-    master = [1]
-    for s in range(npts):
-        master = [0] + master
-        for i in range(len(master) - 1):
-            master[i] -= s * master[i + 1]
-    out = [Fraction(0)] * npts
-    for t in range(npts):
-        # basis_t = master / (x - t), by synthetic division
-        basis = [0] * npts
-        carry = master[npts]
-        for i in range(npts - 1, -1, -1):
-            basis[i] = carry
-            carry = master[i] + t * carry
-        denom = math.prod(t - s for s in range(npts) if s != t)
-        w = Fraction(values[t], denom)
-        for i in range(npts):
-            out[i] += w * basis[i]
-    ints = []
-    for c in out:
-        if c.denominator != 1:
+def _interpolate(values: list[int]) -> list[int]:
+    """Coefficients, low first, of the polynomial of degree < len(values) that
+    takes values[t] at t = 0, 1, ...: Newton's forward-difference form
+    sum_k (Delta^k f(0) / k!) x (x-1) ... (x-k+1), expanded in integers.
+    The coefficients are integers exactly when k! divides every Delta^k f(0);
+    otherwise ArithmeticError."""
+    newton = []
+    diffs = list(values)
+    fact = 1
+    for k in range(len(values)):
+        c, r = divmod(diffs[0], fact)
+        if r:
             raise ArithmeticError("interpolation produced a non-integer coefficient")
-        ints.append(c.numerator)
-    return ints
-
+        newton.append(c)
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+        fact *= k + 1
+    coeffs = []
+    for k in range(len(newton) - 1, -1, -1):         # coeffs = coeffs (x - k) + c_k
+        coeffs = [a - k * b for a, b in zip([0] + coeffs, coeffs + [0])]
+        coeffs[0] += newton[k]
+    return coeffs

@@ -20,7 +20,7 @@ def is_prime(m: int) -> bool:
     """Deterministic primality test for machine-word integers."""
     if m < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_WITNESSES:
         if m == q:
             return True
         if m % q == 0:
@@ -77,47 +77,6 @@ def find_generator(p: int) -> int:
     raise ValueError(f"no generator found for {p}")  # unreachable for prime p
 
 
-def sqrt_mod(x: int, p: int) -> int | None:
-    """A square root of x mod p (Tonelli-Shanks), or None if x is a non-residue.
-
-    Returns the smaller of the two roots for determinism.
-    """
-    x %= p
-    if x == 0:
-        return 0
-    if p == 2:
-        return x
-    if legendre(x, p) != 1:
-        return None
-    # write p - 1 = q * 2^s with q odd
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    if s == 1:
-        r = pow(x, (p + 1) // 4, p)
-        return min(r, p - r)
-    z = 2
-    while legendre(z, p) != -1:
-        z += 1
-    c = pow(z, q, p)
-    r = pow(x, (q + 1) // 2, p)
-    t = pow(x, q, p)
-    m = s
-    while t != 1:
-        i = 0
-        t2 = t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        r = r * b % p
-        c = b * b % p
-        t = t * c % p
-        m = i
-    return min(r, p - r)
-
-
 def is_perfect_square(v: int) -> int | None:
     """The non-negative integer root of v if v is a perfect square, else None."""
     if v < 0:
@@ -168,7 +127,7 @@ class PrimeCtx:
         symbols = [0] * p
         for r in range(1, p):
             symbols[r] = 1 if dlog[r] % 2 == 0 else -1
-        decomp = _two_square(p) if p % 4 == 1 else None
+        decomp = _two_square(p, g) if p % 4 == 1 else None
         return cls(p, (p - 1) // 2, p % 4, g, tuple(dlog), tuple(symbols), decomp)
 
     def legendre(self, x: int) -> int:
@@ -181,11 +140,13 @@ class PrimeCtx:
         return -1 if pow(d % self.p, (self.p - 1) // 4, self.p) == self.p - 1 else 1
 
 
-def _two_square(p: int) -> TwoSquare:
-    """p = a^2 + 4 b^2 via sqrt(-1) mod p and Cornacchia's Euclidean descent."""
-    r = sqrt_mod(p - 1, p)
-    assert r is not None  # -1 is a residue since p = 1 (mod 4)
-    a0, b0 = p, r
+def _two_square(p: int, g: int) -> TwoSquare:
+    """p = a^2 + 4 b^2 via sqrt(-1) mod p and Cornacchia's Euclidean descent.
+
+    g generates the units mod p, so g^((p-1)/2) = -1 and g^((p-1)/4) is a
+    square root of -1.  Either root gives the same normalized result.
+    """
+    a0, b0 = p, pow(g, (p - 1) // 4, p)
     while b0 * b0 > p:
         a0, b0 = b0, a0 % b0
     x = b0
@@ -223,15 +184,11 @@ def perm_sign_cycles(ctx: PrimeCtx, d: int) -> int:
 
 
 def perm_sign_formula(ctx: PrimeCtx, d: int) -> int:
-    """Sign of the same permutation via d^((p-1)/4) mod p, for p = 1 (mod 4)."""
+    """Sign of the same permutation, for p = 1 (mod 4): epsilon(d), which
+    reads d^((p-1)/4) mod p."""
     d %= ctx.p
     if ctx.legendre(d) != 1:
         raise ValueError(f"d={d} is not a quadratic residue mod {ctx.p}")
     if ctx.cls != 1:
         raise ValueError(f"p={ctx.p} must be 1 (mod 4)")
-    t = pow(d, (ctx.p - 1) // 4, ctx.p)
-    if t == 1:
-        return 1
-    if t == ctx.p - 1:
-        return -1
-    raise ArithmeticError(f"d^((p-1)/4) = {t} is not +-1 mod {ctx.p}")  # unreachable
+    return ctx.epsilon(d)

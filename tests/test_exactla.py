@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conftest import oracle_det_cofactor, oracle_is_prime, oracle_primes
-from legdet.exactla import IntPoly, char_poly, det_affine, det_exact, det_mod
+from legdet.exactla import IntPoly, _interpolate, char_poly, det_affine, det_exact, det_mod
 from legdet.matrices import AffineMatrix, carlitz_matrix, chapman_matrix, squares_matrix
 from legdet.ntcore import PrimeCtx
 
@@ -16,6 +16,9 @@ def test_det_exact_trivial():
     assert det_exact([]) == 1
     assert det_exact([[7]]) == 7
     assert det_exact([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 1
+    # column 0 is zero below row 0, so the elimination swaps columns
+    assert det_exact([[1, 2], [0, 3]]) == 3
+    assert det_exact([[2, 1, 1], [0, 1, 0], [0, 0, 1]]) == 2
 
 
 def test_det_exact_known_values():
@@ -161,6 +164,9 @@ def test_char_poly_carlitz_closed_forms():
         (49, 0, 63, 0, 15, 0, 1)
     )
     assert char_poly([[5]]) == IntPoly.make((-5, 1))
+    # x (x + 1) / 2 takes the values 0, 1, 3 but has no integer coefficients
+    with pytest.raises(ArithmeticError):
+        _interpolate([0, 1, 3])
 
 
 def test_char_poly_against_cofactor_at_fresh_points():

@@ -19,7 +19,6 @@ from legdet.ntcore import (
     legendre,
     perm_sign_cycles,
     perm_sign_formula,
-    sqrt_mod,
 )
 
 
@@ -184,21 +183,6 @@ def test_find_generator():
         assert len(seen) == p - 1
 
 
-def test_sqrt_mod():
-    assert sqrt_mod(-1, 13) == 5  # 5^2 = 25 = -1 (mod 13); smaller of {5, 8}
-    for p in oracle_primes(3, 200):
-        qrs = oracle_qr_set(p)
-        for x in range(p):
-            r = sqrt_mod(x, p)
-            if x % p == 0:
-                assert r == 0
-            elif x in qrs:
-                assert r is not None and r * r % p == x % p
-                assert r <= p - r
-            else:
-                assert r is None
-
-
 def test_prime_ctx_structure():
     for p in (5, 13, 17, 29, 101):
         ctx = PrimeCtx.for_prime(p)
@@ -225,3 +209,10 @@ def test_prime_ctx_alternate_generator():
     for x in range(1, 13):
         assert pow(6, ctx.dlog[x], 13) == x
     assert ctx.legendre(3) == 1 and ctx.legendre(2) == -1
+    # decomp comes from the square root g^((p-1)/4) of -1; g and its inverse
+    # give the two roots, so together they cover every generator's root
+    for p in oracle_primes(5, 2000, cls4=1):
+        g = find_generator(p)
+        g_inv = pow(g, -1, p)
+        assert pow(g_inv, (p - 1) // 4, p) == p - pow(g, (p - 1) // 4, p)
+        assert PrimeCtx.for_prime(p, g_inv).decomp == PrimeCtx.for_prime(p).decomp, p
