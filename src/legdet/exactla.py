@@ -6,9 +6,10 @@ rows along, so each carried row t yields det [t; rows].  det_exact carries
 row 0 of its matrix.  det_affine carries two rows for a matrix [x + c_ij]:
 after row 0 is subtracted from the others, x is left in row 0 alone, and the
 two carried rows give both coefficients of the determinant.  The checks take
-the squares-family determinants from the circulant routes in charsums;
-det_exact is their second route for S(1,p) up to n = 100 and the determinant
-of `legdet det` for the Carlitz and evil matrices.  det_mod is an independent
+the squares-family determinants from the circulant routes in charsums, and
+confirm S(1,p) by eigen-CRT; det_exact is the oracle the tests hold those
+routes to, and the determinant of `legdet det` for the Carlitz and evil
+matrices.  det_mod is an independent
 cross-check oracle over F_q, deliberately sharing no code with det_exact.
 char_poly evaluates det_exact at dim+1 points and interpolates in integers
 by Newton's forward differences; the checks take the Carlitz polynomial from

@@ -6,24 +6,29 @@ ceiling, its worker and its re-validator.  A worker is a pure function of
 (PrimeWork, options) that produces CheckResult records whose witnesses are
 decimal strings; the re-validator re-checks them by independent scalar
 arithmetic.  The checks of one prime share its PrimeWork, so run() hands out
-one job per prime; results are always emitted in deterministic order.
+one job per prime, to forked worker processes with --jobs; results are always
+emitted in deterministic order.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import hashlib
 import json
+import os
 import random
+import struct
 import sys
+import threading
 from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
 from . import charsums, quadfield
-from .exactla import IntPoly, det_affine, det_exact
-from .matrices import chapman_matrix, squares_matrix
+from .exactla import IntPoly, det_affine
+from .matrices import chapman_matrix
 from .ntcore import (
     PrimeCtx,
     is_perfect_square,
@@ -78,37 +83,29 @@ def default_d_list(p: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-# S(1,p) is confirmed by Bareiss up to this n and by eigen-CRT above it.
-BAREISS_NMAX = 100
-
-
 class PrimeWork:
-    """One prime's context and its squares-matrix determinants S(d,p), each
-    computed once by the circulant route (charsums.det_squares).
+    """One prime's context, its squares-matrix determinants S(d,p), each
+    computed once by the circulant route (charsums.det_squares), and its
+    class-number data, computed once per precision.
 
-    S(1,p) is returned only once a second route that shares no code with
-    det_squares agrees: Bareiss elimination (det_exact) for n <= BAREISS_NMAX,
-    eigen-CRT (charsums.eigen_product) above.  A disagreement raises
-    ArithmeticError.
+    S(1,p) is returned only once eigen-CRT (charsums.eigen_product), a second
+    route that shares no code with det_squares, agrees.  A disagreement
+    raises ArithmeticError.
     """
 
     def __init__(self, p: int):
         self.ctx = PrimeCtx.for_prime(p)
         self._dets: dict[int, int] = {}
+        self._class_data: dict[int, quadfield.ClassData] = {}
 
     def det(self, d: int) -> int:
         d %= self.ctx.p
         if d not in self._dets:
             s_val = charsums.det_squares(self.ctx, d)
-            if d == 1:
-                if self.ctx.n <= BAREISS_NMAX:
-                    other = det_exact(squares_matrix(self.ctx, 1))
-                else:
-                    other = self.eigen_product
-                if other != s_val:
-                    raise ArithmeticError(
-                        f"S(1,{self.ctx.p}): det_squares gives {s_val}, "
-                        f"the second route {other}")
+            if d == 1 and s_val != self.eigen_product:
+                raise ArithmeticError(
+                    f"S(1,{self.ctx.p}): det_squares gives {s_val}, "
+                    f"eigen-CRT {self.eigen_product}")
             self._dets[d] = s_val
         return self._dets[d]
 
@@ -116,6 +113,12 @@ class PrimeWork:
     def eigen_product(self) -> int:
         """The product of the eigenvalues of S(1,p), by eigen-CRT."""
         return charsums.eigen_product(self.ctx)
+
+    def class_data(self, precision_bits: int) -> quadfield.ClassData:
+        """quadfield.class_data of p (p = 1 mod 4), computed once per precision."""
+        if precision_bits not in self._class_data:
+            self._class_data[precision_bits] = quadfield.class_data(self.ctx.p, precision_bits)
+        return self._class_data[precision_bits]
 
 
 @functools.lru_cache(maxsize=1)
@@ -313,7 +316,7 @@ def _check_chapman(work: PrimeWork, opts: dict, star: bool) -> list[CheckResult]
     data = None
     wit: dict[str, str] = {}
     if ctx.cls == 1:
-        data = quadfield.class_data(p, opts.get("precision_bits", 128))
+        data = work.class_data(opts.get("precision_bits", 128))
         wit.update(
             u=str(data.eps.u),
             v=str(data.eps.v),
@@ -556,6 +559,103 @@ def _run_job(job) -> list[list[CheckResult]]:
     return [run_check(check_id, p, opts) for check_id in check_ids]
 
 
+_INDEX = struct.Struct("<I")      # a job index, parent to worker
+_LENGTH = struct.Struct("<Q")     # the length of a pickled reply, worker to parent
+
+
+def _serve_jobs(jobs: list, task_r: int, result_w: int) -> None:
+    """A forked worker's loop: run each job whose index arrives on task_r and
+    write back the length-prefixed pickle of (True, results), or of (False,
+    exception), until the parent closes task_r.  An interrupt ends the loop."""
+    import pickle
+
+    while msg := os.read(task_r, _INDEX.size):      # one index, or end of file
+        try:
+            reply = (True, _run_job(jobs[_INDEX.unpack(msg)[0]]))
+        except Exception as exc:
+            reply = (False, exc)
+        frame = pickle.dumps(reply, pickle.HIGHEST_PROTOCOL)
+        view = memoryview(_LENGTH.pack(len(frame)) + frame)
+        while view:
+            view = view[os.write(result_w, view):]
+
+
+def _fork_jobs(jobs: list, workers: int):
+    """Run the jobs on `workers` forked processes; yield (index, results) as
+    each job finishes.
+
+    The parent hands each worker one job index at a time over that worker's
+    own pipe, in the order of jobs, and the next one when the result is back.
+    A worker leaves only by os._exit, so it never flushes the parent's
+    buffered output or runs its exit handlers.  An exception raised by a job
+    is re-raised here, and a worker that dies raises ChildProcessError, once
+    every worker has been killed and reaped.
+    """
+    import pickle
+    import select
+    import signal
+
+    todo = iter(range(len(jobs)))
+    pids: list[int] = []
+    open_fds: set[int] = set()                  # pipe ends the parent holds
+    # result fd -> (task fd, pid, job index, the reply's bytes read so far)
+    busy: dict[int, tuple[int, int, int, bytearray]] = {}
+
+    def hand_out(task_w: int, result_r: int, pid: int) -> None:
+        idx = next(todo, None)
+        if idx is None:                          # end of file: the worker exits
+            busy.pop(result_r, None)
+            os.close(task_w)
+            open_fds.discard(task_w)
+        else:
+            busy[result_r] = (task_w, pid, idx, bytearray())
+            os.write(task_w, _INDEX.pack(idx))
+
+    try:
+        for _ in range(workers):
+            task_r, task_w = os.pipe()
+            result_r, result_w = os.pipe()
+            open_fds |= {task_r, task_w, result_r, result_w}
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    for fd in open_fds - {task_r, result_w}:
+                        os.close(fd)
+                    _serve_jobs(jobs, task_r, result_w)
+                    code = 0
+                finally:
+                    os._exit(code)
+            pids.append(pid)
+            for fd in (task_r, result_w):
+                os.close(fd)
+                open_fds.discard(fd)
+            hand_out(task_w, result_r, pid)
+        while busy:
+            for fd in select.select(list(busy), [], [])[0]:
+                task_w, pid, idx, data = busy[fd]
+                chunk = os.read(fd, 1 << 16)
+                if not chunk:
+                    raise ChildProcessError(
+                        f"worker {pid} exited during the job of p = {jobs[idx][0]}")
+                data += chunk
+                if (len(data) < _LENGTH.size
+                        or len(data) < _LENGTH.size + _LENGTH.unpack_from(data)[0]):
+                    continue                    # the reply is not complete yet
+                ok, value = pickle.loads(data[_LENGTH.size:])
+                if not ok:
+                    raise value
+                hand_out(task_w, fd, pid)
+                yield idx, value
+    finally:
+        for fd in open_fds:
+            os.close(fd)
+        for pid in pids:
+            if busy:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def _emit(result: CheckResult, fmt: str, out) -> None:
     if fmt == "json":
         out.write(result.to_json() + "\n")
@@ -618,16 +718,14 @@ def run(config: RunConfig, out=None) -> int:
     # one job per prime, largest first: its checks share one PrimeWork
     jobs = [(p, [c for _, _, c in pending[p]], opts) for p in sorted(pending, reverse=True)]
     workers = min(config.jobs, len(jobs))    # fork no worker that would get no job
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor, as_completed
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(_run_job, job): job[0] for job in jobs}
-            for fut in as_completed(futures):
-                finish(futures[fut], fut.result())
+    # fork where it exists (not on Windows) and is safe: no other thread runs
+    if workers > 1 and hasattr(os, "fork") and threading.active_count() == 1:
+        done = _fork_jobs(jobs, workers)
     else:
-        for job in jobs:
-            finish(job[0], _run_job(job))
+        done = ((idx, _run_job(job)) for idx, job in enumerate(jobs))
+    with contextlib.closing(done):
+        for idx, computed in done:
+            finish(jobs[idx][0], computed)
 
     counts = {"pass": 0, "fail": 0, "skipped": 0}
     for idx in range(len(tasks)):

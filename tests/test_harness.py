@@ -1,5 +1,4 @@
 import ast
-import concurrent.futures
 import csv
 import importlib
 import io
@@ -7,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -275,39 +275,97 @@ def test_parallel_matches_serial():
     assert "sun-zero" in serial.getvalue() and "sun-qr" in serial.getvalue()
 
 
-class _InlinePool:
-    """A stand-in for ProcessPoolExecutor that records max_workers and runs
-    each job inline, so no process is started."""
-
-    max_workers = []
-
-    def __init__(self, max_workers):
-        self.max_workers.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        fut = concurrent.futures.Future()
-        fut.set_result(fn(*args))
-        return fut
-
-
 def test_run_starts_no_more_workers_than_primes(monkeypatch):
-    monkeypatch.setattr(_InlinePool, "max_workers", [])
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
-    serial, pooled = io.StringIO(), io.StringIO()
+    forks = _counting(monkeypatch, os, "fork")
+    serial, forked = io.StringIO(), io.StringIO()
     config = RunConfig(checks=("jacobsthal", "corollary-a"), pmax=13, fmt="json")
     run(config, serial)
     config.jobs = 64
-    run(config, pooled)                        # two primes: 5 and 13
+    run(config, forked)                        # two primes: 5 and 13
+    assert len(forks) == 2
     config.pmax = 5
-    run(config, io.StringIO())                 # one prime: no pool at all
-    assert _InlinePool.max_workers == [2]
-    assert pooled.getvalue() == serial.getvalue()
+    run(config, io.StringIO())                 # one prime: no worker at all
+    assert len(forks) == 2
+    assert forked.getvalue() == serial.getvalue()
+
+
+def test_forked_csv_matches_serial(tmp_path):
+    # real buffered files: a worker that flushed the inherited buffer on its
+    # way out would write the CSV header a second time
+    paths = {jobs: tmp_path / f"jobs{jobs}.csv" for jobs in (1, 2)}
+    for jobs, path in paths.items():
+        with path.open("w") as out:
+            run(RunConfig(checks=("corollary-a", "jacobsthal"), pmax=61, fmt="csv",
+                          jobs=jobs), out)
+    assert paths[1].read_bytes() == paths[2].read_bytes()
+    assert paths[1].read_text().count("check_id,p,params") == 1
+
+
+def _eigen_crt_off_by_one_at_211(monkeypatch):
+    orig = charsums.eigen_product
+    monkeypatch.setattr(charsums, "eigen_product",
+                        lambda ctx: orig(ctx) + (ctx.p == 211))
+
+
+def test_forked_job_error_is_raised_after_every_worker_is_reaped(monkeypatch):
+    _eigen_crt_off_by_one_at_211(monkeypatch)
+    config = RunConfig(checks=("conjecture-a",), pmax=211, fmt="json", jobs=2)
+    with pytest.raises(ArithmeticError, match=r"^S\(1,211\)"):
+        run(config, io.StringIO())
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_worker_that_dies_raises_child_process_error(monkeypatch):
+    def dies_at_13(check_id, p, opts=None):
+        if p == 13:
+            os._exit(3)
+        return run_check(check_id, p, opts)
+
+    monkeypatch.setattr(harness, "run_check", dies_at_13)
+    assert threading.active_count() == 1        # so only a forked worker exits
+    with pytest.raises(ChildProcessError, match="during the job of p = 13$"):
+        run(RunConfig(checks=("jacobsthal",), pmax=29, jobs=2), io.StringIO())
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_cli_exits_2_on_a_forked_job_error(monkeypatch, capsys):
+    _eigen_crt_off_by_one_at_211(monkeypatch)
+    assert cli_main(["verify", "--what", "conjecture-a", "--pmax", "211",
+                     "--jobs", "2", "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "S(1,211)" in captured.err
+
+
+def test_run_without_fork_runs_serially(monkeypatch):
+    config = RunConfig(checks=("jacobsthal", "corollary-a"), pmax=61, fmt="json")
+    serial = io.StringIO()
+    run(config, serial)
+    monkeypatch.delattr(os, "fork")
+    config.jobs = 2
+    unforked = io.StringIO()
+    run(config, unforked)
+    assert unforked.getvalue() == serial.getvalue()
+
+
+def test_run_beside_another_thread_runs_serially(monkeypatch):
+    forks = _counting(monkeypatch, os, "fork")
+    config = RunConfig(checks=("jacobsthal", "corollary-a"), pmax=61, fmt="json")
+    serial, threaded = io.StringIO(), io.StringIO()
+    run(config, serial)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    waiter.start()
+    try:
+        config.jobs = 2
+        run(config, threaded)
+    finally:
+        release.set()
+        waiter.join(timeout=10)
+    assert not waiter.is_alive()
+    assert forks == []
+    assert threaded.getvalue() == serial.getvalue()
 
 
 def test_cli_verify_rejects_jobs_below_one(capsys):
@@ -435,20 +493,28 @@ def _counting(monkeypatch, module, name):
     return calls
 
 
-def test_second_route_for_s1_switches_above_n_100(monkeypatch):
-    bareiss = _counting(monkeypatch, harness, "det_exact")
+def test_second_route_for_s1_is_eigen_crt_at_every_n(monkeypatch):
+    assert not hasattr(harness, "det_exact") and not hasattr(harness, "BAREISS_NMAX")
     eigen = _counting(monkeypatch, charsums, "eigen_product")
-    assert harness.BAREISS_NMAX == 100
-    work = PrimeWork(199)                   # n = 99
-    assert work.det(1) == charsums.det_squares(work.ctx, 1)
-    assert (len(bareiss), len(eigen)) == (1, 0)
-    work = PrimeWork(211)                   # n = 105
-    assert work.det(1) == charsums.det_squares(work.ctx, 1)
-    assert (len(bareiss), len(eigen)) == (1, 1)
-    work.det(1)
-    [result] = _check_product(work, {})
-    assert result.status == "pass"
-    assert (len(bareiss), len(eigen)) == (1, 1)     # each route ran once
+    for count, p in enumerate((199, 211), 1):       # n = 99 and n = 105
+        work = PrimeWork(p)
+        assert work.det(1) == charsums.det_squares(work.ctx, 1)
+        assert len(eigen) == count
+        work.det(1)
+        [result] = _check_product(work, {})
+        assert result.status == "pass"
+        assert len(eigen) == count                  # product reused it
+
+
+def test_class_data_is_computed_once_per_prime(monkeypatch):
+    from legdet import quadfield
+
+    calls = _counting(monkeypatch, quadfield, "class_data")
+    work = PrimeWork(13)
+    for check_id in ("chapman", "chapman-star"):
+        [result] = harness.CHECKS[check_id].worker(work, {})
+        assert result.status == "pass"
+    assert calls == [(13, 128)]
 
 
 def test_s1_routes_that_disagree_raise(monkeypatch):
