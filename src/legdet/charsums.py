@@ -1,8 +1,9 @@
 """The eigenvalues of the squares matrix as character sums, exact cyclotomic
-arithmetic in Z[zeta_{p-1}], and four results from circulant Fourier values
-mod word-size primes: the squares-matrix determinants S(d,p) and S*(1,p), the
-eigenvalue product (eigen-CRT, a second route to S(1,p)) and the Carlitz
-characteristic polynomial.
+arithmetic in Z[zeta_{p-1}], and four results from circulant Fourier values:
+the squares-matrix determinants S(d,p) and S*(1,p), the eigenvalue product
+(eigen-CRT, a second route to S(1,p)) and the Carlitz characteristic
+polynomial.  Each is taken modulo one number Q = Phi_m(2^s), in which 2^s is a
+certified principal m-th root of unity, and lifted from (-Q/2, Q/2).
 
 The eigenvalue of index k is lambda_k = sum_{j=1..n} ((1+j^2)/p) chi^k(j^2),
 chi a generator of the character group.  Two evaluation modes exist: exact
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 from .exactla import IntPoly, det_exact
 from .matrices import squares_matrix
-from .ntcore import PrimeCtx, _factor_trial, is_prime
+from .ntcore import PrimeCtx, _factor_trial
 
 EXACT_PMAX = 61          # cyclotomic arithmetic stays cheap up to here
 RESIDUAL_TOL = 1e-9      # float-mode eigenvector residual
@@ -251,140 +252,117 @@ def eigen_verify(
     )
 
 
-# eigen_product's primes q = 1 (mod p - 1) lie above 2^62 and the Fourier
-# primes of det_squares below it, so the two routes share no modulus.
-_EIGEN_BITS = 62
+def _cyclotomic_modulus(m: int, sq_bound: int) -> tuple[int, int]:
+    """(Q, w) with w = 2^s and Q = Phi_m(w), every prime factor of m divided
+    out, for the smallest s with Q^2 > sq_bound.
+
+    Every prime factor of Phi_m(w) that does not divide m is 1 (mod m), and w
+    has order exactly m modulo it.  So w is a principal m-th root of unity
+    mod Q and m is a unit: circulant determinants, adjugates and
+    characteristic polynomials of dimension m diagonalise in Z/QZ as they do
+    over C.  Callers certify the order of w rather than trust this.
+    """
+    factors = _factor_trial(m)
+    w = 1
+    while True:
+        w *= 2              # not w*w: the overshoot makes every product dearer
+        num = den = 1       # Phi_m(w) = prod_(e | rad m) (w^(m/e) - 1)^mu(e)
+        for subset in range(1 << len(factors)):
+            term = w ** (m // math.prod(r for i, r in enumerate(factors)
+                                         if subset >> i & 1)) - 1
+            if subset.bit_count() % 2:
+                den *= term
+            else:
+                num *= term
+        q = num // den
+        for r in factors:
+            while q % r == 0:
+                q //= r
+        if q * q > sq_bound:
+            return q, w
 
 
 def eigen_product(ctx: PrimeCtx) -> int:
     """The product of all lambda_k by eigen-CRT: every lambda_k is evaluated
-    as its character sum mod primes q = 1 (mod p - 1), and the products mod q
-    are combined by CRT.
+    as its character sum mod Q = Phi_(p-1)(w) of _cyclotomic_modulus, and
+    the product is lifted from Z/QZ.
 
-    Mod q, zeta_(p-1) becomes an element z of order p - 1, and lambda_k is
-    sum_(j <= n) ((1+j^2)/p) z^(2k dlog j).  Ordered by the squares g^(2t),
+    Mod Q, zeta_(p-1) becomes w, of order p - 1, and lambda_k is
+    sum_(j <= n) ((1+j^2)/p) w^(2k dlog j).  Ordered by the squares g^(2t),
     S(1,p) is a circulant with exactly these eigenvalues, so their product is
-    det S(1,p) at every odd p, at most n^(n/2) in absolute value by Hadamard;
-    the residues are combined until the modulus exceeds twice that.  This
-    route shares no code with det_squares: it has its own primes (above 2^62,
-    theirs lie below), its own root search and CRT, and it indexes the terms
-    of lambda_k by j rather than by the exponent of g^2.
+    det S(1,p) at every odd p, at most n^(n/2) in absolute value by Hadamard,
+    and Q exceeds twice that.  This route is kept apart from det_squares: its
+    ring has m = p - 1 (theirs m = n), it certifies Q and w in its own code,
+    and it indexes the terms of lambda_k by j rather than by the exponent of
+    g^2.  A fault in the shared constructor of Q can thus only raise.
     """
     p, n, m = ctx.p, ctx.n, ctx.p - 1
     sym, dlog = ctx.symbols, ctx.dlog
+    sq_bound = 4 * n**n
+    q, z = _cyclotomic_modulus(m, sq_bound)
+    if q * q <= sq_bound or pow(z, m, q) != 1 or any(
+            math.gcd(pow(z, m // r, q) - 1, q) != 1 for r in _factor_trial(m)):
+        raise ArithmeticError(f"eigen-CRT: the modulus for m = {m} fails its certificate")
     # the term of j in lambda_k sits at 2k dlog j (mod m) in the table
     # [z^i mod q] + [-z^i mod q], m further on when ((1+j^2)/p) = -1
     terms = [(2 * dlog[j] % m, 0 if c > 0 else m)
              for j in range(1, n + 1) if (c := sym[(1 + j * j) % p])]
-    rows = [[k * e % m + off for e, off in terms] for k in range(1, n + 1)]
-    cofactors = [m // r for r in _factor_trial(m)]
-    sq_bound = 4 * n**n
-    value, modulus = 0, 1
-    t = (1 << _EIGEN_BITS) // m
-    while modulus * modulus <= sq_bound:
-        t += 1
-        q = 1 + m * t
-        if not is_prime(q):
-            continue
-        h = 1
-        while True:                     # z = h^((q-1)/m) has order m
-            h += 1
-            z = pow(h, t, q)
-            if all(pow(z, c, q) != 1 for c in cofactors):
-                break
-        powers = [1] * m
-        for i in range(1, m):
-            powers[i] = powers[i - 1] * z % q
-        get = (powers + [q - x for x in powers]).__getitem__
-        prod = 1
-        for row in rows:
-            prod = prod * sum(map(get, row)) % q
-        value += modulus * ((prod - value) * pow(modulus, -1, q) % q)
-        modulus *= q
-    return value if 2 * value < modulus else value - modulus
+    powers = [1] * m
+    for i in range(1, m):
+        powers[i] = powers[i - 1] * z % q
+    get = (powers + [q - x for x in powers]).__getitem__
+    prod = 1
+    for k in range(1, n + 1):
+        prod = prod * sum(map(get, [k * e % m + off for e, off in terms])) % q
+    return prod if 2 * prod < q else prod - q
 
 
 def product_identity(ctx: PrimeCtx) -> tuple[int, int]:
     """(product of all lambda_k by eigen-CRT, exact det of the matrix).
 
     The two values are computed along routes that share no code: character
-    sums mod primes q = 1 (mod p - 1) on one side, Bareiss elimination on
-    the other.
+    sums mod Phi_(p-1)(2^s) on one side, Bareiss elimination on the other.
     """
     return eigen_product(ctx), det_exact(squares_matrix(ctx, 1))
 
 
-# Fourier primes q = 1 (mod m) are taken just below 2^62, far inside the range
-# where ntcore.is_prime is deterministic.
-_FOURIER_BITS = 62
-
-
-def _fourier_primes(m: int):
-    """Yield (q, w): the primes q = 1 (mod m) below 2^62 in descending order,
-    each with an element w of order m mod q."""
-    factors = _factor_trial(m)
-    t = ((1 << _FOURIER_BITS) - 2) // m
-    while t > 0:
-        q = 1 + m * t
-        t -= 1
-        if not is_prime(q):
-            continue
-        for h in range(2, q):
-            w = pow(h, (q - 1) // m, q)
-            if all(pow(w, m // r, q) != 1 for r in factors):
-                break
-        yield q, w
-
-
 @functools.lru_cache(maxsize=4)
-def _fourier_tables(m: int, sq_bound: int) -> tuple[tuple[int, list[int]], ...]:
-    """The first Fourier primes q = 1 (mod m) whose product squared exceeds
-    sq_bound, each with its table [w^j mod q] + [-w^j mod q] (j < m)."""
-    tables = []
-    modulus = 1
-    for q, w in _fourier_primes(m):
-        powers = [1] * m
-        for j in range(1, m):
-            powers[j] = powers[j - 1] * w % q
-        tables.append((q, powers + [q - x for x in powers]))
-        modulus *= q
-        if modulus * modulus > sq_bound:
-            break
-    return tuple(tables)
+def _fourier_tables(m: int, sq_bound: int) -> tuple[int, list[int]]:
+    """Q of _cyclotomic_modulus(m, sq_bound) and its table [w^j mod Q] +
+    [-w^j mod Q] (j < m), once Q and w are certified: Q^2 > sq_bound, and w
+    has order exactly m modulo every prime factor of Q, since w^m = 1 and
+    w^(m/r) - 1 is a unit for every prime r | m.  Then w is a principal m-th
+    root of unity and m a unit mod Q.  ArithmeticError if either fails."""
+    q, w = _cyclotomic_modulus(m, sq_bound)
+    if q * q <= sq_bound or pow(w, m, q) != 1 or any(
+            math.gcd(pow(w, m // r, q) - 1, q) != 1 for r in _factor_trial(m)):
+        raise ArithmeticError(f"Fourier modulus for m = {m} fails its certificate")
+    powers = [1] * m
+    for j in range(1, m):
+        powers[j] = powers[j - 1] * w % q
+    return q, powers + [q - x for x in powers]
 
 
-def _fourier_values(m: int, sq_bound: int, *vectors):
-    """Yield (q, values) for each table of _fourier_tables(m, sq_bound), where
-    values[i][k] = sum_s c_s w^(ks) mod q for the i-th vector (c_s), k < m.
+def _fourier_values(m: int, sq_bound: int, *vectors) -> tuple[int, list[list[int]]]:
+    """(Q, values) for the table of _fourier_tables(m, sq_bound), where
+    values[i][k] = sum_s c_s w^(ks) mod Q for the i-th vector (c_s), k < m.
 
     Each c_s is -1, 0 or 1 and each vector has length m, so the term c_s w^(ks)
-    sits in the table at k*s mod m, m further on if c_s = -1.  Lazy: no table
-    past the one a caller stops at is read."""
-    index_rows = []
+    sits in the table at k*s mod m, m further on if c_s = -1."""
+    q, table = _fourier_tables(m, sq_bound)
+    get = table.__getitem__
+    values = []
     for vec in vectors:
         terms = [(s, 0 if c > 0 else m) for s, c in enumerate(vec) if c]
-        index_rows.append([[k * s % m + off for s, off in terms] for k in range(m)])
-    for q, table in _fourier_tables(m, sq_bound):
-        get = table.__getitem__
-        yield q, [[sum(map(get, row)) % q for row in rows] for rows in index_rows]
+        values.append([sum(map(get, [k * s % m + off for s, off in terms])) % q
+                       for k in range(m)])
+    return q, values
 
 
-def _crt_signed(residues, sq_bound: int) -> list[int]:
-    """Combine residue vectors (q, [r mod q, ...]) by CRT until the modulus M
-    satisfies M^2 > sq_bound, then lift each entry into (-M/2, M/2).
-
-    Exact when sq_bound >= (2B)^2 for a bound B on every |entry|.  residues is
-    consumed lazily: no residue past the bound is computed.
-    """
-    modulus, res = 1, []
-    for q, vals in residues:
-        inv = pow(modulus, -1, q)
-        res = [r + modulus * ((v - r) * inv % q)
-               for r, v in zip(res or [0] * len(vals), vals)]
-        modulus *= q
-        if modulus * modulus > sq_bound:
-            break
-    return [r if 2 * r < modulus else r - modulus for r in res]
+def _signed(r: int, q: int) -> int:
+    """The residue r mod q lifted into (-q/2, q/2): exact for a value of
+    absolute value B when q > 2B."""
+    return r if 2 * r < q else r - q
 
 
 def _squares_coeffs(ctx: PrimeCtx, d: int) -> list[int]:
@@ -408,24 +386,17 @@ def det_squares(ctx: PrimeCtx, d: int) -> int:
     circulant [c_((u-t) mod n)], c_s = ((1 + d g^(2s))/p), since
     ((x + d y)/p) = ((1 + d y/x)/p) for a square x.  Its determinant is
     prod_k sum_s c_s w^(ks) over the n-th roots of unity w^k; that product is
-    taken mod primes q = 1 (mod n) and the residues are combined by CRT until
-    the modulus exceeds 2 nz^(n/2), the Hadamard bound when every row has nz
-    nonzero entries.  Exact for every d and every odd prime.
+    taken mod Q = Phi_n(w) of _fourier_tables and lifted into (-Q/2, Q/2).
+    Q^2 > 4 n^n, so Q exceeds twice the Hadamard bound n^(n/2) of every
+    determinant of dimension n with entries in {-1, 0, 1}: exact for every d
+    and every odd prime, and S*(1,p) shares the table.
     """
     n = ctx.n
-    coeffs = _squares_coeffs(ctx, d)
-
-    def residues():
-        # 4 n^n bounds every determinant of dimension n with entries in
-        # {-1, 0, 1}, so S(d,p) for every d and S*(1,p) share these tables
-        for q, (lams,) in _fourier_values(n, 4 * n**n, coeffs):
-            det_q = 1
-            for lam in lams:
-                det_q = det_q * lam % q
-            yield q, (det_q,)
-
-    nz = sum(1 for c in coeffs if c)
-    return _crt_signed(residues(), 4 * nz**n)[0]
+    q, (lams,) = _fourier_values(n, 4 * n**n, _squares_coeffs(ctx, d))
+    det = 1
+    for lam in lams:
+        det = det * lam % q
+    return _signed(det, q)
 
 
 def det_squares_star(ctx: PrimeCtx) -> int:
@@ -438,30 +409,47 @@ def det_squares_star(ctx: PrimeCtx) -> int:
     adj(C) = F diag(nu_k) F^-1 with nu_k = prod_(l != k) lambda_l, and
     det S* = (1/n) sum_k nu_k R_k with R_k = sum_u r_u w^(ku).  The nu_k are
     taken by prefix and suffix products, so a zero lambda needs no special
-    case.  By Hadamard |det S*| <= sqrt(n) nz^((n-1)/2): the new row has n
-    nonzero entries and every other row nz.  Exact at every odd prime.
+    case.  By Hadamard |det S*| <= n^(n/2), and the table's Q exceeds twice
+    that.  Exact at every odd prime.
     """
     p, n, sym = ctx.p, ctx.n, ctx.symbols
-    coeffs = _squares_coeffs(ctx, 1)
     r = []
     x = 1                               # x = g^u, a square root of x_u
     for _ in range(n):
         r.append(sym[x if x <= n else p - x])
         x = x * ctx.g % p
+    q, (lams, r_hat) = _fourier_values(n, 4 * n**n, _squares_coeffs(ctx, 1), r)
+    suffix = [1] * (n + 1)              # suffix[k] = prod_(l >= k) lambda_l
+    for k in range(n - 1, -1, -1):
+        suffix[k] = suffix[k + 1] * lams[k] % q
+    acc, prefix = 0, 1
+    for lam, nu_tail, r_k in zip(lams, suffix[1:], r_hat):
+        acc += prefix * nu_tail % q * r_k
+        prefix = prefix * lam % q
+    return _signed(acc * pow(n, -1, q) % q, q)
 
-    def residues():
-        for q, (lams, r_hat) in _fourier_values(n, 4 * n**n, coeffs, r):
-            suffix = [1] * (n + 1)      # suffix[k] = prod_(l >= k) lambda_l
-            for k in range(n - 1, -1, -1):
-                suffix[k] = suffix[k + 1] * lams[k] % q
-            acc, prefix = 0, 1
-            for lam, nu_tail, r_k in zip(lams, suffix[1:], r_hat):
-                acc += prefix * nu_tail % q * r_k
-                prefix = prefix * lam % q
-            yield q, (acc * pow(n, -1, q) % q,)
 
-    nz = sum(1 for c in coeffs if c)
-    return _crt_signed(residues(), 4 * n * nz ** (n - 1))[0]
+def _poly_from_roots(roots: list[int], q: int) -> list[int]:
+    """prod_k (x - r_k) mod q, low degree first, by a product tree.
+
+    Each product of two polynomials is one integer product (Kronecker
+    substitution): coefficient i sits in byte slot i, wide enough for a sum
+    of len(roots) products of residues, so no slot carries into the next.
+    """
+    polys = [[-r % q, 1] for r in roots]
+    width = (2 * q.bit_length() + len(roots).bit_length()) // 8 + 1
+
+    def pack(poly):
+        return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in poly), "little")
+
+    while len(polys) > 1:
+        paired = []
+        for f, g in zip(polys[::2], polys[1::2]):
+            h = (pack(f) * pack(g)).to_bytes(width * (len(f) + len(g) - 1), "little")
+            paired.append([int.from_bytes(h[i:i + width], "little") % q
+                           for i in range(0, len(h), width)])
+        polys = paired + polys[len(paired) * 2:]
+    return polys[0]
 
 
 def carlitz_char_poly(ctx: PrimeCtx) -> IntPoly:
@@ -471,26 +459,20 @@ def carlitz_char_poly(ctx: PrimeCtx) -> IntPoly:
     column 0 deleted.  Every principal (p-1)-minor of xI - A is a cyclic
     shift of that one, and together they sum to chi_A'(x), so
     det(xI - C) = chi_A'(x)/p.  chi_A = prod_k (x - mu_k) over the Fourier
-    values mu_k = sum_s ((-s)/p) w^(ks) of A, taken mod primes q = 1 (mod p).
-    The coefficient of x^(p-1-m) is, up to sign, a sum of C(p-1, m) principal
-    m-minors of C, each at most (p-1)^(m/2) by Hadamard (off the diagonal
-    every entry is +-1), so every coefficient is at most
-    sum_m C(p-1, m) (p-1)^(m/2) = (1 + sqrt(p-1))^(p-1) in absolute value.
-    The residues are combined by CRT until the modulus exceeds twice that.
+    values mu_k = sum_s ((-s)/p) w^(ks) of A, taken mod Q = Phi_p(w) of
+    _fourier_tables.  The coefficient of x^(p-1-m) is, up to sign, a sum of
+    C(p-1, m) principal m-minors of C, each at most (p-1)^(m/2) by Hadamard
+    (off the diagonal every entry is +-1), so every coefficient is at most
+    sum_m C(p-1, m) (p-1)^(m/2) = (1 + sqrt(p-1))^(p-1) in absolute value,
+    and Q exceeds twice that.
     """
     p, sym = ctx.p, ctx.symbols
     # (1 + sqrt(p-1))^2 <= p + ceil(2 sqrt(p-1)), and isqrt(4m - 1) + 1 = ceil(2 sqrt m)
     sq_bound = 4 * (p + math.isqrt(4 * p - 5) + 1) ** (p - 1)
-
-    def residues():
-        for q, (mus,) in _fourier_values(p, sq_bound, [sym[-s % p] for s in range(p)]):
-            chi = [1]                                   # low degree first
-            for mu in mus:
-                chi = [(a - mu * b) % q for a, b in zip([0] + chi, chi + [0])]
-            inv_p = pow(p, -1, q)
-            yield q, [k * c * inv_p % q for k, c in enumerate(chi) if k]
-
-    return IntPoly.make(_crt_signed(residues(), sq_bound))
+    q, (mus,) = _fourier_values(p, sq_bound, [sym[-s % p] for s in range(p)])
+    chi = _poly_from_roots(mus, q)
+    inv_p = pow(p, -1, q)
+    return IntPoly.make([_signed(k * c * inv_p % q, q) for k, c in enumerate(chi) if k])
 
 
 def row_identity_check(ctx: PrimeCtx) -> bool:

@@ -128,7 +128,7 @@ def main(argv=None) -> int:
         if args.command == "det":
             return _cmd_det(args)
         return _cmd_eigen(args)
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, ChildProcessError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

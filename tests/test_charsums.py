@@ -3,6 +3,7 @@ import math
 import pytest
 
 from conftest import oracle_legendre, oracle_primes
+from legdet import charsums
 from legdet.charsums import (
     CyclotomicElt,
     carlitz_char_poly,
@@ -145,7 +146,9 @@ def test_eigen_product_matches_bareiss_in_both_classes():
 
 
 def test_eigen_product_matches_det_squares_past_n_100():
-    for p in (211, 401, 1009):
+    # p - 1 = 210 and 630 have four odd prime factors, so phi(p-1)/(p-1) is
+    # small and the base w = 2^s of eigen-CRT's modulus is at its largest
+    for p in (211, 401, 631, 1009):
         ctx = PrimeCtx.for_prime(p)
         assert eigen_product(ctx) == det_squares(ctx, 1), p
 
@@ -165,6 +168,67 @@ def test_det_squares_matches_modular_oracle_at_p401():
     assert oracle_legendre(residue, 401) == 1 and oracle_legendre(non_residue, 401) == -1
     for d in (1, residue, non_residue):
         assert det_squares(ctx, d) % q == det_mod(squares_matrix(ctx, d), q), d
+
+
+def test_det_squares_matches_modular_oracle_at_n_210():
+    # n = 2 * 3 * 5 * 7: phi(n)/n is smallest, so the base w = 2^s is largest
+    q = (1 << 61) - 1
+    ctx = PrimeCtx.for_prime(421)
+    assert ctx.n == 210
+    assert det_squares(ctx, 1) % q == det_mod(squares_matrix(ctx, 1), q)
+
+
+def test_cyclotomic_modulus_certificate():
+    primes = oracle_primes(2, 2310)
+
+    def phi_at(m, x):
+        """Phi_m(x) by Horner, with every prime factor of m divided out."""
+        val = 0
+        for c in reversed(cyclotomic_polynomial(m)):
+            val = val * x + c
+        for r in primes:
+            while m % r == 0 and val % r == 0:
+                val //= r
+        return val
+
+    for m in [*range(1, 421), 2310]:
+        bound = 4 * m**m
+        q, w = charsums._cyclotomic_modulus(m, bound)
+        assert q * q > bound and q == phi_at(m, w), m
+        # the smallest s: 2^(s-1) gives too small a modulus
+        assert w == 2 or phi_at(m, w // 2) ** 2 <= bound, m
+        assert pow(w, m, q) == 1 and math.gcd(m, q) == 1, m
+        for r in primes:
+            if m % r == 0:
+                assert math.gcd(pow(w, m // r, q) - 1, q) == 1, (m, r)
+
+
+@pytest.mark.parametrize("fault", ["w = 1", "Q too small"])
+def test_every_route_raises_on_an_uncertified_modulus(monkeypatch, fault):
+    orig = charsums._cyclotomic_modulus
+    if fault == "w = 1":                # order 1, below every m > 1
+        patched = lambda m, bound: (orig(m, bound)[0], 1)
+    else:                               # w = 2 has order m mod Phi_m(2)
+        patched = lambda m, bound: orig(m, 0)
+    monkeypatch.setattr(charsums, "_cyclotomic_modulus", patched)
+    charsums._fourier_tables.cache_clear()
+    ctx = PrimeCtx.for_prime(13)
+    try:
+        for route in (lambda: det_squares(ctx, 1), lambda: det_squares_star(ctx),
+                      lambda: carlitz_char_poly(ctx), lambda: eigen_product(ctx)):
+            with pytest.raises(ArithmeticError, match="fails its certificate"):
+                route()
+    finally:
+        charsums._fourier_tables.cache_clear()
+
+
+def test_eigen_product_certifies_its_own_modulus(monkeypatch):
+    # eigen-CRT reads no table of the Fourier core that det_squares uses
+    def no_table(m, sq_bound):
+        raise AssertionError("eigen_product used _fourier_tables")
+
+    monkeypatch.setattr(charsums, "_fourier_tables", no_table)
+    assert eigen_product(PrimeCtx.for_prime(13)) == -27
 
 
 def test_det_squares_star_matches_bareiss():

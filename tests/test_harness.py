@@ -316,13 +316,14 @@ def test_forked_job_error_is_raised_after_every_worker_is_reaped(monkeypatch):
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_worker_that_dies_raises_child_process_error(monkeypatch):
-    def dies_at_13(check_id, p, opts=None):
-        if p == 13:
-            os._exit(3)
-        return run_check(check_id, p, opts)
+def _dies_at_13(check_id, p, opts=None):
+    if p == 13:
+        os._exit(3)
+    return run_check(check_id, p, opts)
 
-    monkeypatch.setattr(harness, "run_check", dies_at_13)
+
+def test_worker_that_dies_raises_child_process_error(monkeypatch):
+    monkeypatch.setattr(harness, "run_check", _dies_at_13)
     assert threading.active_count() == 1        # so only a forked worker exits
     with pytest.raises(ChildProcessError, match="during the job of p = 13$"):
         run(RunConfig(checks=("jacobsthal",), pmax=29, jobs=2), io.StringIO())
@@ -336,6 +337,18 @@ def test_cli_exits_2_on_a_forked_job_error(monkeypatch, capsys):
                      "--jobs", "2", "--format", "json"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "S(1,211)" in captured.err
+
+
+def test_cli_exits_2_when_a_worker_dies(monkeypatch, capsys):
+    monkeypatch.setattr(harness, "run_check", _dies_at_13)
+    assert threading.active_count() == 1        # so only a forked worker exits
+    assert cli_main(["verify", "--what", "jacobsthal", "--pmax", "29",
+                     "--jobs", "2", "--format", "json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.rstrip().endswith("during the job of p = 13")
+    assert "Traceback" not in err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_run_without_fork_runs_serially(monkeypatch):
