@@ -42,7 +42,8 @@ def _parse_args(argv):
     v.add_argument("--jobs", type=int, default=1)
     v.add_argument("--format", choices=("json", "csv", "text"), default="text")
     v.add_argument("--cache", default=None, help="JSONL result cache path")
-    v.add_argument("--precision-bits", type=int, default=128)
+    v.add_argument("--precision-bits", type=int, default=128,
+                   help="mpmath bits of eigen's float mode (at least 53); no other check reads it")
     v.add_argument("--full-d-sweep", action="store_true",
                    help="run every d in 0..p-1 (quadratic blowup)")
 

@@ -9,10 +9,10 @@ two carried rows give both coefficients of the determinant.  The checks take
 the squares-family determinants from the circulant routes in charsums, and
 confirm S(1,p) by eigen-CRT; det_exact is the oracle the tests hold those
 routes to, and the determinant of `legdet det` for the Carlitz and evil
-matrices.  det_mod is an independent
-cross-check oracle over F_q, deliberately sharing no code with det_exact.
-char_poly evaluates det_exact at dim+1 points and interpolates in integers
-by Newton's forward differences; the checks take the Carlitz polynomial from
+matrices.  det_mod is an independent cross-check oracle over F_q,
+deliberately sharing no code with det_exact.  char_poly evaluates det_exact
+at dim+1 points and interpolates in integers by Newton's forward
+differences; the checks take the Carlitz polynomial from
 charsums.carlitz_char_poly instead, and char_poly is the reference the tests
 compare it with.
 """

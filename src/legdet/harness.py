@@ -86,7 +86,7 @@ def default_d_list(p: int) -> list[int]:
 class PrimeWork:
     """One prime's context, its squares-matrix determinants S(d,p), each
     computed once by the circulant route (charsums.det_squares), and its
-    class-number data, computed once per precision.
+    class-number data, computed once.
 
     S(1,p) is returned only once eigen-CRT (charsums.eigen_product) agrees.
     It is a second route with its own ring (Phi_(p-1)(2^s), det_squares works
@@ -98,7 +98,6 @@ class PrimeWork:
     def __init__(self, p: int):
         self.ctx = PrimeCtx.for_prime(p)
         self._dets: dict[int, int] = {}
-        self._class_data: dict[int, quadfield.ClassData] = {}
 
     def det(self, d: int) -> int:
         d %= self.ctx.p
@@ -116,11 +115,10 @@ class PrimeWork:
         """The product of the eigenvalues of S(1,p), by eigen-CRT."""
         return charsums.eigen_product(self.ctx)
 
-    def class_data(self, precision_bits: int) -> quadfield.ClassData:
-        """quadfield.class_data of p (p = 1 mod 4), computed once per precision."""
-        if precision_bits not in self._class_data:
-            self._class_data[precision_bits] = quadfield.class_data(self.ctx.p, precision_bits)
-        return self._class_data[precision_bits]
+    @functools.cached_property
+    def class_data(self) -> quadfield.ClassData:
+        """quadfield.class_data of p (p = 1 mod 4)."""
+        return quadfield.class_data(self.ctx.p)
 
 
 @functools.lru_cache(maxsize=1)
@@ -318,7 +316,7 @@ def _check_chapman(work: PrimeWork, opts: dict, star: bool) -> list[CheckResult]
     data = None
     wit: dict[str, str] = {}
     if ctx.cls == 1:
-        data = work.class_data(opts.get("precision_bits", 128))
+        data = work.class_data
         wit.update(
             u=str(data.eps.u),
             v=str(data.eps.v),

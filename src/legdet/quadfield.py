@@ -3,9 +3,7 @@ the Chapman determinant closed forms.
 
 Units are stored as integer pairs (u, v) meaning (u + v sqrt(p))/2 with
 u = v (mod 2); the pair multiplication law keeps half-integers exact.  The
-class number is the only floating-point computation in the package: the
-Dirichlet sine-product formula evaluated in mpmath (imported on first use),
-guarded by an integrality gap and an automatic precision-doubling retry.
+class number counts the cycles of reduced forms of discriminant p.
 """
 
 from __future__ import annotations
@@ -93,44 +91,45 @@ def _check_unit(eps: QuadUnit, p: int) -> None:
         raise ArithmeticError("fundamental unit must exceed 1")
 
 
-def class_number(p: int, precision_bits: int = 128) -> int:
-    """Class number of Q(sqrt(p)) by the Dirichlet sine-product formula.
+def class_number(p: int) -> int:
+    """Class number of Q(sqrt(p)), p > 1 squarefree and 1 (mod 4)."""
+    return _class_number(p, fundamental_unit(p))
 
-    h = log(prod of sin(pi n/p) over non-residues / over residues) / (2 log eps).
-    If the value is too close to a rounding boundary the computation retries
-    at doubled precision.
+
+def _class_number(p: int, eps: QuadUnit) -> int:
+    """class_number for p's fundamental unit eps, already computed: the
+    number of cycles of reduced forms (a, b, c) of discriminant p under the
+    reduction operator rho (Cohen, A Course in Computational Algebraic Number
+    Theory, 5.6), which is h, or 2h when N(eps) = +1.  With r = isqrt(p),
+    (a, b, c) is reduced iff 0 < b <= r and r - b < 2|a| <= r + b, and
+    rho(a, b, c) = (c, b', (b'^2 - p)/4c) with b' = -b (mod 2|c|), r - 2|c| < b' <= r.
     """
-    return _class_number(p, fundamental_unit(p), precision_bits)
+    r = math.isqrt(p)
+    forms = set()
+    for b in range(1, r + 1, 2):
+        n = (p - b * b) // 4
+        for a in range((r - b + 2) // 2, (r + b) // 2 + 1):
+            if n % a == 0:
+                forms.update(((a, b, -n // a), (-a, b, n // a)))
+    cycles = 0
+    while forms:
+        start = form = forms.pop()
+        cycles += 1
+        while True:
+            _, b, c = form
+            b = r - (r + b) % (2 * abs(c))
+            form = (c, b, (b * b - p) // (4 * c))
+            if form == start:
+                break
+            if form not in forms:
+                raise ArithmeticError(f"rho leaves the reduced forms of {p} at {form}")
+            forms.remove(form)
+    return cycles if unit_norm(eps, p) == -1 else cycles // 2
 
 
-def _class_number(p: int, eps: QuadUnit, precision_bits: int) -> int:
-    """class_number for p's fundamental unit eps, already computed."""
-    import mpmath
-
-    bits = precision_bits
-    for _ in range(8):
-        with mpmath.workprec(bits):
-            acc = mpmath.mpf(0)
-            pi_over_p = mpmath.pi / p
-            for a in range(1, p):
-                t = mpmath.log(mpmath.sin(pi_over_p * a))
-                if pow(a, (p - 1) // 2, p) == 1:
-                    acc -= t
-                else:
-                    acc += t
-            eps_val = (eps.u + eps.v * mpmath.sqrt(p)) / 2
-            hval = acc / (2 * mpmath.log(eps_val))
-            h = int(mpmath.nint(hval))
-            gap = float(mpmath.mpf(0.5) - abs(hval - h))
-        if gap > 1e-6 and h >= 1:
-            return h
-        bits *= 2
-    raise ArithmeticError(f"class number of {p} did not stabilize")
-
-
-def class_data(p: int, precision_bits: int = 128) -> ClassData:
+def class_data(p: int) -> ClassData:
     eps = fundamental_unit(p)
-    h = _class_number(p, eps, precision_bits)
+    h = _class_number(p, eps)
     return ClassData(eps, h, unit_pow(eps, h, p))
 
 

@@ -3,8 +3,9 @@ checks through the code `legdet verify --format json` runs.
 
 The oracles deliberately avoid the library's code paths: symbols by Euler's
 criterion on raw pow, determinants by cofactor expansion, primality by trial
-division, unit minimality by the Pell unit of Z[sqrt p].  They are the
-reference implementations the fast paths are checked against.
+division, unit minimality by the Pell unit of Z[sqrt p], class numbers by the
+Dirichlet sine product in mpmath.  They are the reference implementations
+the fast paths are checked against.
 """
 
 from __future__ import annotations
@@ -127,3 +128,26 @@ def oracle_is_fundamental_unit(p: int, u: int, v: int) -> bool:
         return lo ** 3 - 3 * norm * lo != u
     cube = ((u ** 3 + 3 * p * u * v * v) // 8, (3 * u * u * v + p * v ** 3) // 8)
     return oracle_pell_unit(p) == cube
+
+
+def oracle_class_number(p: int, bits: int) -> int:
+    """Class number h of Q(sqrt p), p = 1 (mod 4) prime, by the Dirichlet
+    sine product, in mpmath at the given precision:
+
+        2 h log(eps) = sum over a in 1..p-1 of -(a/p) log sin(pi a/p).
+
+    eps is the Pell unit of Z[sqrt p] or, when that is a cube in the ring of
+    integers, its cube root.  Fails unless the value lies within 1e-6 of an
+    integer.
+    """
+    import mpmath
+
+    x, y = oracle_pell_unit(p)
+    k = 1 if oracle_is_fundamental_unit(p, 2 * x, 2 * y) else 3   # Pell unit = eps^k
+    with mpmath.workprec(bits):
+        acc = -mpmath.fsum(oracle_legendre(a, p) * mpmath.log(mpmath.sin(mpmath.pi * a / p))
+                           for a in range(1, p))
+        hval = k * acc / (2 * mpmath.log(x + y * mpmath.sqrt(p)))
+        h = int(mpmath.nint(hval))
+        assert h >= 1 and abs(hval - h) < 1e-6, (p, bits, hval)
+    return h

@@ -16,7 +16,13 @@ exception to its exact values.
 import random
 import time
 
-from conftest import oracle_det_cofactor, oracle_is_prime, oracle_primes, run_json
+from conftest import (
+    oracle_class_number,
+    oracle_det_cofactor,
+    oracle_is_prime,
+    oracle_primes,
+    run_json,
+)
 from legdet.charsums import eigen_verify, product_identity
 from legdet.exactla import det_exact, det_mod
 from legdet.harness import run_check
@@ -173,8 +179,7 @@ def test_criterion_09_chapman_closed_forms():
     # exception is pinned in test_quadfield.py::test_chapman_forms_fail_at_p3.
     failures = []
     for p in oracle_primes(7, 103, cls4=3) + oracle_primes(5, 101, cls4=1):
-        results = {c: run_check(c, p, {"precision_bits": 128})[0]
-                   for c in ("chapman", "chapman-star")}
+        results = {c: run_check(c, p)[0] for c in ("chapman", "chapman-star")}
         failures += [(p, c) for c, r in results.items() if r.status != "pass"]
         if p % 4 == 3:
             continue
@@ -184,9 +189,10 @@ def test_criterion_09_chapman_closed_forms():
             failures.append((p, "norm"))
         if (u - v) % 2 or (uh - vh) % 2:
             failures.append((p, "parity"))
-        if class_number(p, 128) != class_number(p, 256):
+        if not class_number(p) == oracle_class_number(p, 128) == oracle_class_number(p, 256):
             failures.append((p, "h-stability"))
-    if class_number(229, 128) != 3 or class_number(229, 256) != 3:
+    if class_number(229) != 3 or oracle_class_number(229, 128) != 3 \
+            or oracle_class_number(229, 256) != 3:
         failures.append((229, "h-regression"))
     ok = not failures
     assert _report(

@@ -403,8 +403,9 @@ def test_cli_rejects_precision_bits_below_53(capsys):
 
 
 def test_run_rejects_precision_bits_below_53():
-    # at 0 bits class_number cannot run; at 32 bits eigen's float residuals miss
-    # their tolerance, which would read as failures of the identity
+    # run rejects the value before any check, even one such as chapman that
+    # does not read it; at 32 bits eigen's float residuals would miss their
+    # tolerance, which would read as failures of the identity
     for checks, pmax, bits in ((("chapman",), 13, 0), (("eigen",), 101, 32)):
         out = io.StringIO()
         with pytest.raises(ValueError, match=f"^precision_bits must be at least 53, not {bits}$"):
@@ -471,26 +472,33 @@ def test_interrupted_run_keeps_finished_primes(tmp_path, monkeypatch):
     assert resumed.getvalue() == fresh.getvalue()
 
 
-def test_cli_import_leaves_numpy_and_mpmath_unloaded():
-    code = ("import sys, legdet.cli; "
-            "print(sorted(m for m in ('numpy', 'mpmath') if m in sys.modules))")
+def _fresh_interpreter(code: str) -> str:
+    """Standard output of code run by a new Python that imports this legdet."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(Path(legdet.__file__).parent.parent), os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True).stdout
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True).stdout
+
+
+def test_cli_import_leaves_numpy_and_mpmath_unloaded():
+    out = _fresh_interpreter("import sys, legdet.cli; "
+                             "print(sorted(m for m in ('numpy', 'mpmath') if m in sys.modules))")
     assert out.strip() == "[]"
 
 
 def test_exact_eigen_verify_leaves_numpy_unloaded():
-    code = ("import sys; from legdet.charsums import eigen_verify; "
-            "from legdet.ntcore import PrimeCtx; "
-            "report = eigen_verify(PrimeCtx.for_prime(13)); "
-            "print(report.mode, report.ok, 'numpy' in sys.modules)")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(Path(legdet.__file__).parent.parent), os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True).stdout
+    out = _fresh_interpreter("import sys; from legdet.charsums import eigen_verify; "
+                             "from legdet.ntcore import PrimeCtx; "
+                             "report = eigen_verify(PrimeCtx.for_prime(13)); "
+                             "print(report.mode, report.ok, 'numpy' in sys.modules)")
     assert out.split() == ["exact", "True", "False"]
+
+
+def test_chapman_checks_leave_mpmath_unloaded():
+    out = _fresh_interpreter("import sys; from legdet.harness import run_check; "
+                             "print(*(r.status for c in ('chapman', 'chapman-star') "
+                             "for r in run_check(c, 229)), 'mpmath' in sys.modules)")
+    assert out.split() == ["pass", "pass", "False"]
 
 
 def _counting(monkeypatch, module, name):
@@ -527,7 +535,7 @@ def test_class_data_is_computed_once_per_prime(monkeypatch):
     for check_id in ("chapman", "chapman-star"):
         [result] = harness.CHECKS[check_id].worker(work, {})
         assert result.status == "pass"
-    assert calls == [(13, 128)]
+    assert calls == [(13,)]
 
 
 def test_s1_routes_that_disagree_raise(monkeypatch):

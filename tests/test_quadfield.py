@@ -1,8 +1,10 @@
+import math
 import time
+from types import SimpleNamespace
 
 import pytest
 
-from conftest import oracle_is_fundamental_unit, oracle_primes
+from conftest import oracle_class_number, oracle_is_fundamental_unit, oracle_primes
 from legdet import quadfield
 from legdet.exactla import IntPoly, det_affine
 from legdet.harness import run_check
@@ -76,7 +78,45 @@ def test_class_numbers():
 
 def test_class_number_stable_under_precision_doubling():
     for p in (5, 13, 17, 97, 101, 229):
-        assert class_number(p, 128) == class_number(p, 256)
+        assert class_number(p) == oracle_class_number(p, 128) == oracle_class_number(p, 256)
+
+
+# every prime p = 1 (mod 4) below 3000 with h > 1, from the Dirichlet sine
+# product (oracle_class_number), too slow to run over the whole range here
+CLASS_NUMBERS_ABOVE_1 = {
+    229: 3, 257: 3, 401: 5, 577: 7, 733: 3, 761: 3, 1009: 7, 1093: 5, 1129: 9,
+    1229: 3, 1297: 11, 1373: 3, 1429: 5, 1489: 3, 1601: 7, 1901: 3, 2029: 7,
+    2081: 5, 2089: 3, 2153: 5, 2213: 3, 2557: 3, 2677: 3, 2713: 3, 2777: 3,
+    2857: 3, 2917: 3,
+}
+
+
+def test_class_number_table_below_3000():
+    primes = oracle_primes(5, 2999, cls4=1)
+    start = time.perf_counter()
+    got = {p: class_number(p) for p in primes}
+    elapsed = time.perf_counter() - start
+    assert got == {p: CLASS_NUMBERS_ABOVE_1.get(p, 1) for p in primes}
+    assert elapsed < 0.5, elapsed
+
+
+def test_class_number_halves_the_cycle_count_when_the_unit_has_norm_1():
+    # no prime p = 1 (mod 4) has a unit of norm +1, so the branch is pinned at
+    # squarefree discriminants: Q(sqrt 21), Q(sqrt 33) and Q(sqrt 77) have
+    # h = 1 and h+ = 2; Q(sqrt 65) and Q(sqrt 85) have norm -1 and h = h+ = 2
+    for d, h, norm in ((21, 1, 1), (33, 1, 1), (77, 1, 1), (65, 2, -1), (85, 2, -1)):
+        assert unit_norm(fundamental_unit(d), d) == norm
+        assert class_number(d) == h, d
+
+
+def test_class_number_raises_when_rho_leaves_the_reduced_forms(monkeypatch):
+    # with isqrt one too small, the enumeration misses reduced forms that rho
+    # still reaches
+    units = {p: fundamental_unit(p) for p in (13, 229)}
+    monkeypatch.setattr(quadfield, "math", SimpleNamespace(isqrt=lambda n: math.isqrt(n) - 1))
+    for p, eps in units.items():
+        with pytest.raises(ArithmeticError, match=f"^rho leaves the reduced forms of {p} at "):
+            quadfield._class_number(p, eps)
 
 
 def test_class_data_half_integer_components():
@@ -115,6 +155,11 @@ def test_chapman_verify_examples():
     assert det_affine(chapman_matrix(ctx13)) == IntPoly.make((-32, 96))
     assert _chapman_status(13, False) == "pass"
     assert _chapman_status(13, True) == "pass"
+    # the first primes with h > 1; the default ceiling of 200 holds none
+    for p in (229, 257):
+        for check_id in ("chapman", "chapman-star"):
+            [result] = run_check(check_id, p)
+            assert (result.status, result.witness["h"]) == ("pass", "3"), (check_id, p)
 
 
 def test_chapman_star_constant_positive_for_3_mod_4():
