@@ -28,6 +28,7 @@ from .charsums import (
     carlitz_char_poly,
     det_squares,
     det_squares_star,
+    eigen_identity,
     eigen_verify,
     eigenvalue_exact,
     product_identity,
@@ -65,6 +66,7 @@ __all__ = [
     "det_mod",
     "det_squares",
     "det_squares_star",
+    "eigen_identity",
     "eigen_verify",
     "eigenvalue_exact",
     "evil_matrix",

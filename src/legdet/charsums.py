@@ -6,13 +6,12 @@ polynomial.  Each is taken modulo one number Q = Phi_m(2^s), in which 2^s is a
 certified principal m-th root of unity, and lifted from (-Q/2, Q/2).
 
 The eigenvalue of index k is lambda_k = sum_{j=1..n} ((1+j^2)/p) chi^k(j^2),
-chi a generator of the character group.  Two evaluation modes exist: exact
-cyclotomic (authoritative; coefficient vectors reduced mod x^(p-1) - 1 during
-arithmetic and canonicalized mod the cyclotomic polynomial only at comparison
-time) and high-precision floating (mpmath for the values, imported on first
-use, and numpy for the eigenvector residual sweep, imported only in float
-mode).  Integrality claims are never decided by floats: they route through
-exact determinants.
+chi a generator of the character group.  eigen_identity decides that these
+are the eigenvalues of the squares matrix by one identity in Z[x]/(x^n - 1),
+in integers.  eigen_verify reports them for `legdet eigen`: as mpmath floats
+(imported on first use), as elements of Z[zeta_{p-1}] in exact mode, and
+with numpy eigenvector residuals in float mode; none of these decides
+anything.
 """
 
 from __future__ import annotations
@@ -20,14 +19,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exactla import IntPoly, det_exact
 from .matrices import squares_matrix
 from .ntcore import PrimeCtx, _factor_trial
 
-EXACT_PMAX = 61          # cyclotomic arithmetic stays cheap up to here
-RESIDUAL_TOL = 1e-9      # float-mode eigenvector residual
-IMAG_REL_TOL = 1e-12     # float-mode relative imaginary part
+EXACT_PMAX = 61          # eigen_verify's default mode: exact up to here, float above
 
 
 @functools.lru_cache(maxsize=None)
@@ -145,28 +143,68 @@ def eigenvalue_exact(ctx: PrimeCtx, k: int) -> CyclotomicElt:
     return CyclotomicElt(m, tuple(vec))
 
 
+class EigenIdentity(NamedTuple):
+    """The outcome of eigen_identity; ok iff all three hold."""
+
+    real: bool                      # L's coefficients at t and -t are equal
+    vandermonde: bool               # the exponents e_j are distinct
+    first_bad_row: int | None       # the first row i where the identity fails
+
+    @property
+    def ok(self) -> bool:
+        return self.real and self.vandermonde and self.first_bad_row is None
+
+
+def eigen_identity(ctx: PrimeCtx) -> EigenIdentity:
+    """Check that the lambda_k are the eigenvalues of the squares matrix M,
+    with eigenvectors v_k = (chi^k(j^2))_j, by one identity in Z[x]/(x^n - 1).
+
+    With e_j = dlog j mod n and L(x) = sum_j ((1+j^2)/p) x^(e_j), row i of M
+    must satisfy sum_j M_ij x^(e_j) = L(x) x^(e_i).  The map x -> zeta_n^k is
+    a ring map of Z[x]/(x^n - 1), and chi^k(j^2) = zeta_n^(k e_j), so the
+    identity gives M v_k = lambda_k v_k with lambda_k = L(zeta_n^k) for every
+    k at once.  lambda_k is real when L(x) = L(x^-1), and the v_k are
+    independent (a Vandermonde matrix) when the e_j are distinct.
+    """
+    if ctx.cls != 1:
+        raise ValueError(f"p={ctx.p} must be 1 (mod 4)")
+    p, n, sym = ctx.p, ctx.n, ctx.symbols
+    exps = [ctx.dlog[j] % n for j in range(1, n + 1)]
+    lam = [0] * n
+    for j, e in enumerate(exps, start=1):
+        lam[e] += sym[(1 + j * j) % p]
+    real = all(lam[t] == lam[-t % n] for t in range(n))
+    first_bad_row = None
+    for i, (row, e_i) in enumerate(zip(squares_matrix(ctx, 1).entries, exps), start=1):
+        lhs = [0] * n
+        for c, e in zip(row, exps):
+            lhs[e] += c
+        if lhs != lam[-e_i % n:] + lam[:-e_i % n]:     # the coefficients of L(x) x^(e_i)
+            first_bad_row = i
+            break
+    return EigenIdentity(real, len(set(exps)) == n, first_bad_row)
+
+
 @dataclass(frozen=True)
 class EigenReport:
     p: int
     mode: str                                   # "exact" | "float"
     lambdas: tuple[float, ...]                  # real parts, index k = 1..n
     residuals: tuple[float, ...]                # per-k eigenvector residual
-    max_imag_rel: float
-    vandermonde_ok: bool
-    exact_ok: bool | None                       # exact-mode identities, else None
     lambdas_exact: tuple[CyclotomicElt, ...] | None
+    identity: EigenIdentity                     # decides ok
 
     @property
     def residual(self) -> float:
         return max(self.residuals) if self.residuals else 0.0
 
     @property
+    def vandermonde_ok(self) -> bool:
+        return self.identity.vandermonde
+
+    @property
     def ok(self) -> bool:
-        if not self.vandermonde_ok or self.max_imag_rel > IMAG_REL_TOL:
-            return False
-        if self.mode == "exact":
-            return bool(self.exact_ok)
-        return self.residual < RESIDUAL_TOL
+        return self.identity.ok
 
     def rows(self) -> list[dict]:
         """One JSON-ready record per eigenvalue."""
@@ -185,60 +223,26 @@ def eigen_verify(
     exact: bool | None = None,
     prec_bits: int = 128,
 ) -> EigenReport:
-    """Check that the lambda_k are exactly the eigenvalues of the squares matrix.
+    """The eigenvalue report that `legdet eigen` prints; its verdict `ok` is
+    eigen_identity's.
 
-    Exact mode verifies M v_k = lambda_k v_k in Z[zeta_{p-1}] for every k and
-    every component, plus realness of each lambda_k; float mode bounds the
-    residual of the same identity in floating point.  Both check that the
-    eigenvector matrix is nonsingular (the chi(j^2) are pairwise distinct).
+    The lambda_k are evaluated in mpmath at prec_bits.  Exact mode (the
+    default up to EXACT_PMAX) also reports each lambda_k in Z[zeta_{p-1}];
+    float mode reports the numpy residual max_j |(M v_k - lambda_k v_k)_j| of
+    each k instead.  Neither the floats nor the residuals decide anything.
     """
-    import mpmath
-
-    if ctx.cls != 1:
-        raise ValueError(f"p={ctx.p} must be 1 (mod 4)")
+    identity = eigen_identity(ctx)
     if exact is None:
         exact = ctx.p <= EXACT_PMAX
-    p, n, m = ctx.p, ctx.n, ctx.p - 1
-    dlog, sym = ctx.dlog, ctx.symbols
-    sq_exps = [(2 * dlog[j]) % m for j in range(1, n + 1)]
-    vandermonde_ok = len(set(sq_exps)) == n
-
+    n, m = ctx.n, ctx.p - 1
     lams_exact = tuple(eigenvalue_exact(ctx, k) for k in range(1, n + 1))
-    floats = [lam.to_float(prec_bits) for lam in lams_exact]
-    with mpmath.workprec(prec_bits):
-        max_imag = max(
-            float(abs(z.imag) / max(1, abs(z))) for z in floats
-        )
-    lam_re = tuple(float(z.real) for z in floats)
-
+    lam_re = tuple(float(lam.to_float(prec_bits).real) for lam in lams_exact)
     if exact:
-        ok = all(
-            (lam - lam.conjugate()).is_zero() for lam in lams_exact
-        )
-        M = squares_matrix(ctx, 1).entries
-        for ki, lam in enumerate(lams_exact, start=1):
-            if not ok:
-                break
-            for i in range(1, n + 1):
-                vec = [0] * m
-                row = M[i - 1]
-                for j in range(1, n + 1):
-                    c = row[j - 1]
-                    if c:
-                        vec[(2 * ki * dlog[j]) % m] += c
-                shift = (2 * ki * dlog[i]) % m
-                for t, c in enumerate(lam.coeffs):
-                    if c:
-                        vec[(t + shift) % m] -= c
-                if _reduce_mod_cyclotomic(vec, m) != ():
-                    ok = False
-                    break
-        return EigenReport(
-            p, "exact", lam_re, (0.0,) * n, max_imag, vandermonde_ok, ok, lams_exact
-        )
+        return EigenReport(ctx.p, "exact", lam_re, (0.0,) * n, lams_exact, identity)
 
     import numpy as np
 
+    sq_exps = [(2 * ctx.dlog[j]) % m for j in range(1, n + 1)]
     Mf = np.array(squares_matrix(ctx, 1).entries, dtype=np.float64)
     E = np.empty((n, n), dtype=np.int64)
     for k in range(1, n + 1):
@@ -247,9 +251,7 @@ def eigen_verify(
     lam_arr = np.array(lam_re, dtype=np.float64)
     R = Mf @ V - V * lam_arr[None, :]
     residuals = tuple(float(x) for x in np.abs(R).max(axis=0))
-    return EigenReport(
-        p, "float", lam_re, residuals, max_imag, vandermonde_ok, None, None
-    )
+    return EigenReport(ctx.p, "float", lam_re, residuals, None, identity)
 
 
 def _cyclotomic_modulus(m: int, sq_bound: int) -> tuple[int, int]:

@@ -231,22 +231,23 @@ def _revalidate_lemma_sign(r: CheckResult) -> bool:
 
 def _check_eigen(work: PrimeWork, opts: dict) -> list[CheckResult]:
     p = work.ctx.p
-    report = charsums.eigen_verify(work.ctx, prec_bits=opts.get("precision_bits", 128))
+    identity = charsums.eigen_identity(work.ctx)
     wit = {
-        "mode": report.mode,
-        "residual": repr(report.residual),
-        "max_imag_rel": repr(report.max_imag_rel),
-        "vandermonde": "1" if report.vandermonde_ok else "0",
+        "rows": str(work.ctx.n),
+        "real": "1" if identity.real else "0",
+        "vandermonde": "1" if identity.vandermonde else "0",
     }
-    return [CheckResult("eigen", p, None, "pass" if report.ok else "fail", wit)]
+    if identity.first_bad_row is not None:
+        wit["first_bad_row"] = str(identity.first_bad_row)
+    return [CheckResult("eigen", p, None, "pass" if identity.ok else "fail", wit)]
 
 
 def _revalidate_eigen(r: CheckResult) -> bool:
     w = r.witness
     return (
-        w["vandermonde"] == "1"
-        and float(w["max_imag_rel"]) <= charsums.IMAG_REL_TOL
-        and (w["mode"] == "exact" or float(w["residual"]) < charsums.RESIDUAL_TOL)
+        int(w["rows"]) == (r.p - 1) // 2
+        and w["real"] == w["vandermonde"] == "1"
+        and "first_bad_row" not in w
     )
 
 
@@ -521,17 +522,6 @@ class ResultCache:
             )
 
 
-# the witnesses store floats as doubles, whose significand has 53 bits
-MIN_PRECISION_BITS = 53
-
-
-def check_precision_bits(bits: int, name: str = "precision_bits") -> None:
-    """Raise ValueError if bits is below MIN_PRECISION_BITS; name is how the
-    caller calls the setting."""
-    if bits < MIN_PRECISION_BITS:
-        raise ValueError(f"{name} must be at least {MIN_PRECISION_BITS}, not {bits}")
-
-
 @dataclass
 class RunConfig:
     checks: tuple[str, ...] = CHECK_IDS
@@ -540,14 +530,13 @@ class RunConfig:
     jobs: int = 1
     fmt: str = "text"                        # json | csv | text
     cache_path: str | None = None
-    precision_bits: int = 128
     full_d_sweep: bool = False
 
 
 def _task_key(check_id: str, p: int, opts: dict) -> str:
     rel = {
         k: opts[k]
-        for k in ("d_list", "full_sweep", "precision_bits")
+        for k in ("d_list", "full_sweep")
         if opts.get(k) not in (None, False)
     }
     return f"{check_id}|{p}|{json.dumps(rel, sort_keys=True)}"
@@ -680,16 +669,10 @@ def _short(v: str, limit: int = 40) -> str:
 
 
 def run(config: RunConfig, out=None) -> int:
-    """Execute the configured checks; returns 0 iff no check failed.  Raises
-    ValueError for precision_bits below MIN_PRECISION_BITS."""
-    check_precision_bits(config.precision_bits)
+    """Execute the configured checks; returns 0 iff no check failed."""
     out = out or sys.stdout
     cache = ResultCache(config.cache_path) if config.cache_path else None
-    opts = {
-        "d_list": config.d_list,
-        "full_sweep": config.full_d_sweep,
-        "precision_bits": config.precision_bits,
-    }
+    opts = {"d_list": config.d_list, "full_sweep": config.full_d_sweep}
     tasks = []
     for check_id in config.checks:
         pmax = config.pmax if config.pmax is not None else default_pmax(check_id)

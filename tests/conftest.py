@@ -4,8 +4,8 @@ checks through the code `legdet verify --format json` runs.
 The oracles deliberately avoid the library's code paths: symbols by Euler's
 criterion on raw pow, determinants by cofactor expansion, primality by trial
 division, unit minimality by the Pell unit of Z[sqrt p], class numbers by the
-Dirichlet sine product in mpmath.  They are the reference implementations
-the fast paths are checked against.
+Dirichlet sine product in mpmath, eigenvalue identities in Z[zeta_(p-1)].
+They are the reference implementations the fast paths are checked against.
 """
 
 from __future__ import annotations
@@ -151,3 +151,54 @@ def oracle_class_number(p: int, bits: int) -> int:
         h = int(mpmath.nint(hval))
         assert h >= 1 and abs(hval - h) < 1e-6, (p, bits, hval)
     return h
+
+
+def oracle_eigen_identity(p: int, rows=None) -> tuple[bool, bool, int | None]:
+    """(real, vandermonde, first_bad_row) for the eigenvalues of the n x n
+    matrix rows, by default [((i^2+j^2)/p)], n = (p-1)/2, p = 1 (mod 4), in
+    exact arithmetic in Z[zeta], zeta = zeta_(p-1).
+
+    chi(g) = zeta for the least primitive root g, v_k = (chi^k(j^2))_j and
+    lambda_k = sum_j ((1+j^2)/p) chi^k(j^2).  real: every lambda_k equals its
+    conjugate; vandermonde: the chi(j^2) are distinct; first_bad_row: the
+    first row i where (M v_k)_i = lambda_k (v_k)_i fails for some k, or None.
+    An element of Z[zeta] is a coefficient vector mod x^(p-1) - 1, and it is
+    zero when its remainder by the cyclotomic polynomial Phi_(p-1) is.
+    """
+    from legdet.charsums import cyclotomic_polynomial
+
+    m, n = p - 1, (p - 1) // 2
+    if rows is None:
+        rows = [[oracle_legendre(i * i + j * j, p) for j in range(1, n + 1)]
+                for i in range(1, n + 1)]
+    phi = cyclotomic_polynomial(m)
+    deg = len(phi) - 1
+    primes = [q for q in range(2, p) if m % q == 0 and oracle_is_prime(q)]
+    g = next(g for g in range(2, p) if all(pow(g, m // q, p) != 1 for q in primes))
+    dlog = {pow(g, t, p): t for t in range(m)}
+    exps = [2 * dlog[j] % m for j in range(1, n + 1)]        # chi(j^2) = zeta^(2 dlog j)
+
+    def element(coeffs, k, shift=0):        # zeta^shift sum_j coeffs_j chi^k(j^2)
+        vec = [0] * m
+        for c, e in zip(coeffs, exps):
+            vec[(k * e + shift) % m] += c
+        return vec
+
+    def is_zero(vec):
+        for i in range(m - 1, deg - 1, -1):
+            if c := vec[i]:
+                for t, f in enumerate(phi):
+                    vec[i - deg + t] -= c * f
+        return not any(vec)
+
+    lams = [element([oracle_legendre(1 + j * j, p) for j in range(1, n + 1)], k)
+            for k in range(1, n + 1)]
+    real = all(is_zero([a - b for a, b in zip(lam, lam[:1] + lam[:0:-1])]) for lam in lams)
+    vandermonde = len(set(exps)) == n
+    for i, row in enumerate(rows, start=1):
+        for k, lam in enumerate(lams, start=1):
+            s = k * exps[i - 1] % m                      # lambda_k zeta^s
+            rhs = lam[m - s:] + lam[:m - s]
+            if not is_zero([a - b for a, b in zip(element(row, k), rhs)]):
+                return real, vandermonde, i
+    return real, vandermonde, None

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from conftest import oracle_legendre, oracle_primes
+from conftest import oracle_eigen_identity, oracle_legendre, oracle_primes
 from legdet import charsums
 from legdet.charsums import (
     CyclotomicElt,
@@ -10,6 +10,7 @@ from legdet.charsums import (
     cyclotomic_polynomial,
     det_squares,
     det_squares_star,
+    eigen_identity,
     eigen_product,
     eigen_verify,
     eigenvalue_exact,
@@ -96,7 +97,7 @@ def test_corner_eigenvalues_across_range():
 def test_eigen_verify_exact():
     report = eigen_verify(PrimeCtx.for_prime(13))
     assert report.mode == "exact"
-    assert report.ok and report.exact_ok
+    assert report.ok
     assert report.residual == 0.0
     assert report.vandermonde_ok
     assert sorted(round(x) for x in report.lambdas) == [-3, -3, -1, -1, -1, 3]
@@ -107,7 +108,6 @@ def test_eigen_verify_float():
     assert report.mode == "float"
     assert report.ok
     assert report.residual < 1e-9
-    assert report.max_imag_rel < 1e-12
     prod = math.prod(report.lambdas)
     det = det_exact(squares_matrix(PrimeCtx.for_prime(29), 1))
     assert abs(prod - det) / abs(det) < 1e-6
@@ -116,6 +116,21 @@ def test_eigen_verify_float():
 def test_eigen_verify_requires_1_mod_4():
     with pytest.raises(ValueError):
         eigen_verify(PrimeCtx.for_prime(7))
+
+
+def test_eigen_identity_matches_the_cyclotomic_oracle():
+    # the oracle checks M v_k = lambda_k v_k in Z[zeta_(p-1)], k by k, on a
+    # matrix and a generator of its own
+    for p in oracle_primes(5, 109, cls4=1):
+        assert eigen_identity(PrimeCtx.for_prime(p)) == oracle_eigen_identity(p) \
+            == (True, True, None), p
+
+
+def test_eigen_identity_matches_float_residuals():
+    for p in oracle_primes(5, 200, cls4=1):
+        ctx = PrimeCtx.for_prime(p)
+        assert eigen_identity(ctx).ok, p
+        assert eigen_verify(ctx, exact=False).residual < 1e-9, p
 
 
 def test_eigenvalue_multiset_independent_of_generator():

@@ -1,7 +1,7 @@
 """The behaviour contract, pinned byte for byte: `legdet verify --format json
 --pmax 61` must print exactly tests/data/verify_pmax61.json and exit 1 (the
-two p = 3 Chapman results fail).  Up to p = 61 the eigen check runs in exact
-mode, so no floating-point rounding enters the bytes.
+two p = 3 Chapman results fail).  Every check decides in integers and its
+witnesses are integers, so no floating-point rounding enters the bytes.
 
 The checks that rest on determinants mod Phi_m(2^s) (the squares family and
 carlitz) are pinned at their default ceilings in tests/data/verify_fq_default.json.

@@ -1,5 +1,6 @@
 import ast
 import csv
+import dataclasses
 import importlib
 import io
 import json
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import run_json
+from conftest import oracle_eigen_identity, run_json
 
 import legdet
 from legdet import charsums, harness
@@ -390,28 +391,35 @@ def test_cli_verify_rejects_jobs_below_one(capsys):
 
 
 def test_cli_rejects_precision_bits_below_53(capsys):
-    # at 53 bits: chapman fails only at p = 3 (exit 1), the others pass
-    for args, code_at_53 in ((["verify", "--what", "chapman", "--pmax", "13"], 1),
-                             (["verify", "--what", "eigen", "--pmax", "101"], 0),
-                             (["eigen", "--p", "13"], 0)):
-        for bits in ("0", "4", "32", "52"):
-            assert cli_main(args + ["--precision-bits", bits]) == 2, (args, bits)
-            captured = capsys.readouterr()
-            assert "--precision-bits" in captured.err and captured.out == ""
-        assert cli_main(args + ["--precision-bits", "53"]) == code_at_53, args
-        capsys.readouterr()
+    for bits in ("0", "4", "32", "52"):
+        assert cli_main(["eigen", "--p", "13", "--precision-bits", bits]) == 2, bits
+        captured = capsys.readouterr()
+        assert "--precision-bits" in captured.err and captured.out == ""
+    assert cli_main(["eigen", "--p", "13", "--precision-bits", "53"]) == 0
+    capsys.readouterr()
+    # no check of verify reads a precision, so verify has no such option
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["verify", "--what", "eigen", "--pmax", "13", "--precision-bits", "128"])
+    assert exc.value.code == 2
+    assert "--precision-bits" in capsys.readouterr().err
 
 
-def test_run_rejects_precision_bits_below_53():
-    # run rejects the value before any check, even one such as chapman that
-    # does not read it; at 32 bits eigen's float residuals would miss their
-    # tolerance, which would read as failures of the identity
-    for checks, pmax, bits in ((("chapman",), 13, 0), (("eigen",), 101, 32)):
-        out = io.StringIO()
-        with pytest.raises(ValueError, match=f"^precision_bits must be at least 53, not {bits}$"):
-            run(RunConfig(checks=checks, pmax=pmax, precision_bits=bits), out)
-        assert out.getvalue() == ""
-    assert run(RunConfig(checks=("eigen",), pmax=13, precision_bits=53), io.StringIO()) == 0
+def test_eigen_check_names_a_flipped_row(monkeypatch):
+    orig = charsums.squares_matrix
+
+    def flipped(ctx, d=1):
+        m = orig(ctx, d)
+        rows = [list(row) for row in m.entries]
+        j = next(j for j, c in enumerate(rows[6]) if c)
+        rows[6][j] = -rows[6][j]                            # row 7
+        return dataclasses.replace(m, entries=tuple(map(tuple, rows)))
+
+    monkeypatch.setattr(charsums, "squares_matrix", flipped)
+    (r,) = run_check("eigen", 29)
+    assert r.status == "fail"
+    assert r.witness == {"rows": "14", "real": "1", "vandermonde": "1", "first_bad_row": "7"}
+    # the cyclotomic oracle names the same row
+    assert oracle_eigen_identity(29, flipped(PrimeCtx.for_prime(29)).entries) == (True, True, 7)
 
 
 def test_cache_skips_a_torn_last_line(tmp_path, capsys):
@@ -494,11 +502,13 @@ def test_exact_eigen_verify_leaves_numpy_unloaded():
     assert out.split() == ["exact", "True", "False"]
 
 
-def test_chapman_checks_leave_mpmath_unloaded():
+def test_chapman_and_eigen_checks_leave_numpy_and_mpmath_unloaded():
     out = _fresh_interpreter("import sys; from legdet.harness import run_check; "
-                             "print(*(r.status for c in ('chapman', 'chapman-star') "
-                             "for r in run_check(c, 229)), 'mpmath' in sys.modules)")
-    assert out.split() == ["pass", "pass", "False"]
+                             "print(*(r.status for c, p in (('chapman', 229), "
+                             "('chapman-star', 229), ('eigen', 101)) "
+                             "for r in run_check(c, p)), "
+                             "*(m in sys.modules for m in ('numpy', 'mpmath')))")
+    assert out.split() == ["pass", "pass", "pass", "False", "False"]
 
 
 def _counting(monkeypatch, module, name):
