@@ -21,7 +21,7 @@ from .matrices import (
     squares_matrix,
     squares_star_matrix,
 )
-from .exactla import IntPoly, char_poly, det_affine, det_exact, det_mod
+from .exactla import IntPoly, chapman_dets, char_poly, det_affine, det_exact, det_mod
 from .charsums import (
     CyclotomicElt,
     EigenReport,
@@ -57,6 +57,7 @@ __all__ = [
     "TwoSquare",
     "carlitz_char_poly",
     "carlitz_matrix",
+    "chapman_dets",
     "chapman_matrix",
     "char_poly",
     "class_data",

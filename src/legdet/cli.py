@@ -12,9 +12,9 @@ import json
 import sys
 
 from . import charsums
-from .exactla import det_affine, det_exact
+from .exactla import chapman_dets, det_exact
 from .harness import CHECK_IDS, CHECKS, RunConfig, run
-from .matrices import carlitz_matrix, chapman_matrix, evil_matrix
+from .matrices import carlitz_matrix, evil_matrix
 from .ntcore import PrimeCtx
 
 
@@ -98,8 +98,7 @@ def _cmd_det(args) -> int:
     elif args.matrix == "evil":
         print(det_exact(evil_matrix(ctx)))
     else:
-        star = args.matrix == "chapman-star"
-        print(det_affine(chapman_matrix(ctx, star)))
+        print(chapman_dets(ctx)[args.matrix == "chapman-star"])
     return 0
 
 

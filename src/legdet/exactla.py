@@ -9,19 +9,24 @@ two carried rows give both coefficients of the determinant.  The checks take
 the squares-family determinants from the circulant routes in charsums, and
 confirm S(1,p) by eigen-CRT; det_exact is the oracle the tests hold those
 routes to, and the determinant of `legdet det` for the Carlitz and evil
-matrices.  det_mod is an independent cross-check oracle over F_q,
-deliberately sharing no code with det_exact.  char_poly evaluates det_exact
-at dim+1 points and interpolates in integers by Newton's forward
-differences; the checks take the Carlitz polynomial from
-charsums.carlitz_char_poly instead, and char_poly is the reference the tests
-compare it with.
+matrices.  chapman_dets gives the checks and `legdet det` both Chapman
+polynomials of a prime from two Euclidean remainder sequences modulo one
+number, as subresultants; det_affine is the oracle the tests hold it to.
+det_mod is an independent cross-check oracle over F_q, deliberately sharing
+no code with det_exact.  char_poly evaluates det_exact at dim+1 points and
+interpolates in integers by Newton's forward differences; the checks take
+the Carlitz polynomial from charsums.carlitz_char_poly instead, and
+char_poly is the reference the tests compare it with.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 from .matrices import AffineMatrix
+from .ntcore import PrimeCtx, is_prime
 
 
 @dataclass(frozen=True)
@@ -189,6 +194,110 @@ def det_affine(m: AffineMatrix) -> IntPoly:
     k0 = rows[0]
     d = [[x - y for x, y in zip(r, k0)] for r in rows[1:]]
     return IntPoly.make(_eliminate(d, [list(k0), [1] * len(rows)]))
+
+
+def chapman_dets(ctx: PrimeCtx) -> tuple[IntPoly, IntPoly]:
+    """(det C_n(x), det C*_(n+1)(x)): the determinants of chapman_matrix(ctx)
+    and chapman_matrix(ctx, True), from two Euclidean remainder sequences
+    modulo one number q.
+
+    The entries x + ((k+1)/p) of the Hankel matrices C_N are p-periodic in k,
+    so their generating function is G_x(z)/(z^p - 1), with
+    G_x(z) = sum_(k<p) (x + ((k+1)/p)) z^(p-1-k), and
+    det C_N(x) = (-1)^(N(N-1)/2) sres_(p-N)(z^p - 1, G_x) (von zur Gathen and
+    Gerhard, Modern Computer Algebra, ch. 6 and 11).  One remainder sequence
+    passes through both indices p - n and p - n - 1, and det C_N is affine in
+    x, so the sequences at x = 0 and x = 1 give both polynomials.
+
+    Every entry at x = 0 or 1 is at most 2 in absolute value, so by Hadamard
+    all four determinants are at most (4N)^(N/2) with N = n + 1, and
+    q^2 > 4 (4N)^N.  The sequences divide only by units mod q (a leading
+    coefficient that is not one raises ArithmeticError), so the residues are
+    the subresultants mod q whether or not q is prime.
+    """
+    p, n, sym = ctx.p, ctx.n, ctx.symbols
+    sq_bound = 4 * (4 * (n + 1)) ** (n + 1)
+    q = _chapman_modulus(-(-sq_bound.bit_length() // 128))    # least k: 2^(128k) > sq_bound
+    if q * q <= sq_bound:
+        raise ArithmeticError(f"Chapman modulus {q} is too small for p = {p}")
+    at = []                                     # [det C, det C*] at x = 0, 1
+    for x in (0, 1):
+        degs, leads = _remainder_sequence(
+            [1] + [0] * (p - 1) + [q - 1],
+            [(x + sym[(k + 1) % p]) % q for k in range(p)], q, n)
+        dets = []
+        for dim in (n, n + 1):
+            r = _subresultant(degs, leads, p - dim, q)
+            if dim * (dim - 1) // 2 % 2:
+                r = -r % q
+            dets.append(r if 2 * r < q else r - q)
+        at.append(dets)
+    (c0, s0), (c1, s1) = at
+    return IntPoly.make((c0, c1 - c0)), IntPoly.make((s0, s1 - s0))
+
+
+@functools.lru_cache(maxsize=None)
+def _chapman_modulus(k: int) -> int:
+    """The least probable prime (ntcore.is_prime) above 2^(64k); one gcd with
+    the product of the odd numbers below 1000 passes over the candidates with
+    an odd prime factor below 1000."""
+    small = math.prod(range(3, 1000, 2))
+    q = (1 << 64 * k) + 1
+    while math.gcd(q, small) != 1 or not is_prime(q):
+        q += 2
+    return q
+
+
+def _remainder_sequence(a: list[int], b: list[int], q: int,
+                        stop: int) -> tuple[list[int], list[int]]:
+    """The degrees and leading coefficients of the Euclidean remainder
+    sequence r_0 = a, r_1 = b, r_(i+1) = r_(i-1) rem r_i over Z/qZ, up to the
+    first remainder of degree at most stop, or the last nonzero one.
+
+    Coefficients are residues, highest degree first, and a[0] and b[0] are
+    nonzero.  A normal step, whose quotient has degree 1, is one pass over
+    the coefficients; any other step is one pass per quotient term.
+    """
+    degs, leads = [len(a) - 1, len(b) - 1], [a[0], b[0]]
+    while len(b) - 1 > stop:
+        try:
+            inv = pow(b[0], -1, q)
+        except ValueError:
+            raise ArithmeticError(
+                f"leading coefficient {b[0]} is not a unit mod {q}") from None
+        if len(a) == len(b) + 1:
+            q1 = a[0] * inv % q
+            q0 = (a[1] - q1 * b[1]) * inv % q
+            r = [(u - q1 * v - q0 * w) % q for u, v, w in zip(a[2:], b[2:] + [0], b[1:])]
+        else:
+            r = a
+            while len(r) >= len(b):
+                c = r[0] * inv % q
+                r = [(u - c * v) % q for u, v in zip(r[1:], b[1:] + [0] * (len(r) - len(b)))]
+        lead = next((i for i, c in enumerate(r) if c), None)
+        if lead is None:                        # b divides a: the sequence ends
+            break
+        a, b = b, r[lead:]
+        degs.append(len(b) - 1)
+        leads.append(b[0])
+    return degs, leads
+
+
+def _subresultant(degs: list[int], leads: list[int], j: int, q: int) -> int:
+    """sres_j mod q of r_0 and r_1, read from the degrees n_i and leading
+    coefficients l_i of their remainder sequence (von zur Gathen and Gerhard,
+    Modern Computer Algebra, ch. 11): 0 unless j = n_i for some i >= 1, and then
+    prod_(k=1..i-1) (-1)^((n_(k-1)-j)(n_k-j)) l_k^(n_(k-1)-n_(k+1))
+    times l_i^(n_(i-1)-n_i)."""
+    if j not in degs[1:]:
+        return 0
+    i = degs.index(j, 1)
+    acc = pow(leads[i], degs[i - 1] - degs[i], q)
+    for k in range(1, i):
+        acc = acc * pow(leads[k], degs[k - 1] - degs[k + 1], q) % q
+        if (degs[k - 1] - j) * (degs[k] - j) % 2:
+            acc = -acc % q
+    return acc
 
 
 def char_poly(m) -> IntPoly:

@@ -26,9 +26,8 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import charsums, quadfield
-from .exactla import IntPoly, det_affine
-from .matrices import chapman_matrix
+from . import charsums, exactla, quadfield
+from .exactla import IntPoly
 from .ntcore import (
     PrimeCtx,
     is_perfect_square,
@@ -86,7 +85,8 @@ def default_d_list(p: int) -> list[int]:
 class PrimeWork:
     """One prime's context, its squares-matrix determinants S(d,p), each
     computed once by the circulant route (charsums.det_squares), and its
-    class-number data, computed once.
+    Chapman polynomials (exactla.chapman_dets) and class-number data, each
+    computed once and shared by the chapman and chapman-star checks.
 
     S(1,p) is returned only once eigen-CRT (charsums.eigen_product) agrees.
     It is a second route with its own ring (Phi_(p-1)(2^s), det_squares works
@@ -114,6 +114,11 @@ class PrimeWork:
     def eigen_product(self) -> int:
         """The product of the eigenvalues of S(1,p), by eigen-CRT."""
         return charsums.eigen_product(self.ctx)
+
+    @functools.cached_property
+    def chapman_dets(self) -> tuple[IntPoly, IntPoly]:
+        """(det C(x), det C*(x)) by exactla.chapman_dets."""
+        return exactla.chapman_dets(self.ctx)
 
     @functools.cached_property
     def class_data(self) -> quadfield.ClassData:
@@ -313,7 +318,7 @@ def _revalidate_carlitz(r: CheckResult) -> bool:
 def _check_chapman(work: PrimeWork, opts: dict, star: bool) -> list[CheckResult]:
     check_id = "chapman-star" if star else "chapman"
     ctx, p = work.ctx, work.ctx.p
-    actual = det_affine(chapman_matrix(ctx, star))
+    actual = work.chapman_dets[star]
     data = None
     wit: dict[str, str] = {}
     if ctx.cls == 1:
@@ -333,16 +338,22 @@ def _check_chapman(work: PrimeWork, opts: dict, star: bool) -> list[CheckResult]
 
 
 def _revalidate_chapman(r: CheckResult) -> bool:
-    w, p = r.witness, r.p
-    if json.loads(w["coeffs"]) != json.loads(w["expected"]):
-        return False
-    if p % 4 == 1:
+    """The witness's polynomials agree, and equal the closed form rebuilt from
+    p, and for p = 1 (mod 4) from the unit eps and eps^h of the witness, once
+    eps is checked to be a unit and eps^h to be its h-th power."""
+    w, ctx = r.witness, PrimeCtx.for_prime(r.p)
+    p, data = ctx.p, None
+    if ctx.cls == 1:
         u, v, h = int(w["u"]), int(w["v"]), int(w["h"])
         if (u * u - p * v * v) // 4 != int(w["norm"]) or int(w["norm"]) not in (1, -1):
             return False
-        eps_h = quadfield.unit_pow(quadfield.QuadUnit(u, v), h, p)
-        return (eps_h.u, eps_h.v) == (int(w["uh"]), int(w["vh"]))
-    return True
+        eps = quadfield.QuadUnit(u, v)
+        eps_h = quadfield.QuadUnit(int(w["uh"]), int(w["vh"]))
+        if quadfield.unit_pow(eps, h, p) != eps_h:
+            return False
+        data = quadfield.ClassData(eps, h, eps_h)
+    expected = quadfield.chapman_expected(ctx, r.check_id == "chapman-star", data)
+    return json.loads(w["coeffs"]) == json.loads(w["expected"]) == list(expected.coeffs)
 
 
 def _check_sun_zero(work: PrimeWork, opts: dict) -> list[CheckResult]:

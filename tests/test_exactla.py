@@ -3,7 +3,16 @@ import random
 import pytest
 
 from conftest import oracle_det_cofactor, oracle_is_prime, oracle_primes
-from legdet.exactla import IntPoly, _interpolate, char_poly, det_affine, det_exact, det_mod
+from legdet import exactla
+from legdet.exactla import (
+    IntPoly,
+    _interpolate,
+    chapman_dets,
+    char_poly,
+    det_affine,
+    det_exact,
+    det_mod,
+)
 from legdet.matrices import AffineMatrix, carlitz_matrix, chapman_matrix, squares_matrix
 from legdet.ntcore import PrimeCtx
 
@@ -152,6 +161,43 @@ def test_det_affine_matches_pointwise_determinants_for_chapman():
         poly = det_affine(m)
         for x in (0, 1, 2):
             assert poly.eval_at(x) % q == det_mod(m.at(x), q), (star, x)
+
+
+def test_chapman_dets_match_det_affine_up_to_200():
+    for p in oracle_primes(3, 200):
+        ctx = PrimeCtx.for_prime(p)
+        expected = tuple(det_affine(chapman_matrix(ctx, star)) for star in (False, True))
+        assert chapman_dets(ctx) == expected, p
+
+
+def test_chapman_dets_match_det_mod_above_200():
+    q = (1 << 61) - 1
+    for p in (211, 401):
+        ctx = PrimeCtx.for_prime(p)
+        for star, poly in enumerate(chapman_dets(ctx)):
+            m = chapman_matrix(ctx, bool(star))
+            for x in (0, 1):
+                assert poly.eval_at(x) % q == det_mod(m.at(x), q), (p, star, x)
+
+
+def test_chapman_dets_raise_on_a_modulus_too_small(monkeypatch):
+    # the modulus of one 64-bit step less: at p = 101 and 199, q^2 is about
+    # 2^384 and 2^768, below the bounds 4 (4N)^N of 394 and 867 bits
+    modulus = exactla._chapman_modulus
+    monkeypatch.setattr(exactla, "_chapman_modulus", lambda k: modulus(k - 1))
+    for p in (101, 199):
+        with pytest.raises(ArithmeticError, match=f"is too small for p = {p}$"):
+            chapman_dets(PrimeCtx.for_prime(p))
+
+
+def test_chapman_dets_raise_on_a_leading_coefficient_that_is_no_unit(monkeypatch):
+    # with q = 2 q', q is as large as the bound asks, but no even leading
+    # coefficient is a unit; G_1 leads with 1 + (1/p) = 2
+    modulus = exactla._chapman_modulus
+    monkeypatch.setattr(exactla, "_chapman_modulus", lambda k: 2 * modulus(k))
+    for p in (3, 5, 13):
+        with pytest.raises(ArithmeticError, match="^leading coefficient [0-9]+ is not a unit mod "):
+            chapman_dets(PrimeCtx.for_prime(p))
 
 
 def test_char_poly_carlitz_closed_forms():

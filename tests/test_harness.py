@@ -15,9 +15,9 @@ import pytest
 from conftest import oracle_eigen_identity, run_json
 
 import legdet
-from legdet import charsums, harness
+from legdet import charsums, exactla, harness
 from legdet.cli import main as cli_main
-from legdet.exactla import det_exact
+from legdet.exactla import det_affine, det_exact
 from legdet.harness import (
     CHECK_IDS,
     CheckResult,
@@ -33,7 +33,7 @@ from legdet.harness import (
     run,
     run_check,
 )
-from legdet.matrices import squares_matrix, squares_star_matrix
+from legdet.matrices import chapman_matrix, squares_matrix, squares_star_matrix
 from legdet.ntcore import PrimeCtx
 
 
@@ -183,6 +183,17 @@ def test_revalidate_catches_tampering():
         assert field in r.witness and r.witness[field] != value, check_id
         bad = CheckResult(r.check_id, r.p, r.params, r.status, dict(r.witness, **{field: value}))
         assert not revalidate(bad), check_id
+
+
+def test_revalidate_chapman_rejects_forged_expected():
+    # coeffs and expected agree with each other but not with the closed form
+    for check_id in ("chapman", "chapman-star"):
+        for p in (7, 13):
+            [r] = run_check(check_id, p)
+            assert r.status == "pass" and revalidate(r), (check_id, p)
+            forged = dict(r.witness, coeffs="[5]", expected="[5]")
+            bad = CheckResult(r.check_id, r.p, r.params, r.status, forged)
+            assert not revalidate(bad), (check_id, p)
 
 
 def test_run_exit_codes_and_text_output():
@@ -548,6 +559,17 @@ def test_class_data_is_computed_once_per_prime(monkeypatch):
     assert calls == [(13,)]
 
 
+def test_chapman_dets_are_computed_once_per_prime(monkeypatch):
+    calls = _counting(monkeypatch, exactla, "chapman_dets")
+    for p in (7, 13):
+        work = PrimeWork(p)
+        for check_id in ("chapman", "chapman-star"):
+            [result] = harness.CHECKS[check_id].worker(work, {})
+            assert result.status == "pass"
+        assert calls == [(work.ctx,)]
+        calls.clear()
+
+
 def test_s1_routes_that_disagree_raise(monkeypatch):
     orig = charsums.eigen_product
     monkeypatch.setattr(charsums, "eigen_product", lambda ctx: orig(ctx) + 1)
@@ -589,6 +611,15 @@ def test_cli_det(capsys):
     assert capsys.readouterr().out.strip() == "0"
     assert cli_main(["det", "--matrix", "evil", "--p", "7"]) == 0
     assert capsys.readouterr().out.strip() == "1"
+
+
+def test_cli_det_chapman_prints_the_bareiss_polynomial(capsys):
+    for p in (3, 5, 13, 229):
+        ctx = PrimeCtx.for_prime(p)
+        for matrix, star in (("chapman", False), ("chapman-star", True)):
+            assert cli_main(["det", "--matrix", matrix, "--p", str(p)]) == 0
+            out = capsys.readouterr().out
+            assert out == str(det_affine(chapman_matrix(ctx, star))) + "\n", (p, matrix)
 
 
 def test_cli_eigen(capsys):

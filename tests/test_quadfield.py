@@ -6,7 +6,7 @@ import pytest
 
 from conftest import oracle_class_number, oracle_is_fundamental_unit, oracle_primes
 from legdet import quadfield
-from legdet.exactla import IntPoly, det_affine
+from legdet.exactla import IntPoly, chapman_dets, det_affine
 from legdet.harness import run_check
 from legdet.matrices import chapman_matrix
 from legdet.ntcore import PrimeCtx
@@ -143,6 +143,9 @@ def test_class_data_computes_the_unit_once(monkeypatch):
     assert calls == [13, 13, 229, 229]     # one in class_data, one in class_number
 
 
+# The chapman checks take both polynomials of a prime from one call of
+# exactla.chapman_dets (subresultants); det_affine (Bareiss) is the oracle
+# these tests hold the closed forms and that route to.
 def _chapman_status(p: int, star: bool) -> str:
     [result] = run_check("chapman-star" if star else "chapman", p)
     return result.status
@@ -172,8 +175,10 @@ def test_chapman_star_constant_positive_for_3_mod_4():
 
 def test_chapman_forms_fail_at_p3():
     # p = 3 is a genuine exception: det C = x + 1 and det C* = 3x - 1 match
-    # neither closed-form branch.
+    # neither closed-form branch.  Both the subresultant route the checks use
+    # and the Bareiss oracle give these values.
     ctx = PrimeCtx.for_prime(3)
+    assert chapman_dets(ctx) == (IntPoly.make((1, 1)), IntPoly.make((-1, 3)))
     assert det_affine(chapman_matrix(ctx, False)) == IntPoly.make((1, 1))
     assert det_affine(chapman_matrix(ctx, True)) == IntPoly.make((-1, 3))
     assert _chapman_status(3, False) == "fail"
