@@ -10,8 +10,9 @@ the squares-family determinants from the circulant routes in charsums, and
 confirm S(1,p) by eigen-CRT; det_exact is the oracle the tests hold those
 routes to, and the determinant of `legdet det` for the Carlitz and evil
 matrices.  chapman_dets gives the checks and `legdet det` both Chapman
-polynomials of a prime from two Euclidean remainder sequences modulo one
-number, as subresultants; det_affine is the oracle the tests hold it to.
+polynomials of a prime from two Euclidean remainder sequences modulo a
+power of the prime 2^64 + 13, as subresultants; det_affine is the oracle the
+tests hold it to.
 det_mod is an independent cross-check oracle over F_q, deliberately sharing
 no code with det_exact.  char_poly evaluates det_exact at dim+1 points and
 interpolates in integers by Newton's forward differences; the checks take
@@ -21,12 +22,10 @@ char_poly is the reference the tests compare it with.
 
 from __future__ import annotations
 
-import functools
-import math
 from dataclasses import dataclass
 
 from .matrices import AffineMatrix
-from .ntcore import PrimeCtx, is_prime
+from .ntcore import PrimeCtx
 
 
 @dataclass(frozen=True)
@@ -199,7 +198,7 @@ def det_affine(m: AffineMatrix) -> IntPoly:
 def chapman_dets(ctx: PrimeCtx) -> tuple[IntPoly, IntPoly]:
     """(det C_n(x), det C*_(n+1)(x)): the determinants of chapman_matrix(ctx)
     and chapman_matrix(ctx, True), from two Euclidean remainder sequences
-    modulo one number q.
+    modulo q = R^k, R = 2^64 + 13.
 
     The entries x + ((k+1)/p) of the Hankel matrices C_N are p-periodic in k,
     so their generating function is G_x(z)/(z^p - 1), with
@@ -210,14 +209,16 @@ def chapman_dets(ctx: PrimeCtx) -> tuple[IntPoly, IntPoly]:
     x, so the sequences at x = 0 and x = 1 give both polynomials.
 
     Every entry at x = 0 or 1 is at most 2 in absolute value, so by Hadamard
-    all four determinants are at most (4N)^(N/2) with N = n + 1, and
-    q^2 > 4 (4N)^N.  The sequences divide only by units mod q (a leading
-    coefficient that is not one raises ArithmeticError), so the residues are
-    the subresultants mod q whether or not q is prime.
+    all four determinants are at most (4N)^(N/2) with N = n + 1; k is the
+    least with 2^(128k) > 4 (4N)^N, so q^2 exceeds it.  R is prime, so a
+    residue mod q is a unit exactly when R does not divide it.  The sequences
+    divide only by units (a leading coefficient that is not one raises
+    ArithmeticError), so the residues are the subresultants mod q, although q
+    is not prime for k > 1.
     """
     p, n, sym = ctx.p, ctx.n, ctx.symbols
     sq_bound = 4 * (4 * (n + 1)) ** (n + 1)
-    q = _chapman_modulus(-(-sq_bound.bit_length() // 128))    # least k: 2^(128k) > sq_bound
+    q = _chapman_modulus(-(-sq_bound.bit_length() // 128))
     if q * q <= sq_bound:
         raise ArithmeticError(f"Chapman modulus {q} is too small for p = {p}")
     at = []                                     # [det C, det C*] at x = 0, 1
@@ -236,16 +237,9 @@ def chapman_dets(ctx: PrimeCtx) -> tuple[IntPoly, IntPoly]:
     return IntPoly.make((c0, c1 - c0)), IntPoly.make((s0, s1 - s0))
 
 
-@functools.lru_cache(maxsize=None)
 def _chapman_modulus(k: int) -> int:
-    """The least probable prime (ntcore.is_prime) above 2^(64k); one gcd with
-    the product of the odd numbers below 1000 passes over the candidates with
-    an odd prime factor below 1000."""
-    small = math.prod(range(3, 1000, 2))
-    q = (1 << 64 * k) + 1
-    while math.gcd(q, small) != 1 or not is_prime(q):
-        q += 2
-    return q
+    """R^k, for the prime R = 2^64 + 13, the least prime above 2^64."""
+    return ((1 << 64) + 13) ** k
 
 
 def _remainder_sequence(a: list[int], b: list[int], q: int,

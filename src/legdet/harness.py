@@ -204,6 +204,8 @@ def _check_corollary_a(work: PrimeWork, opts: dict) -> list[CheckResult]:
 def _revalidate_corollary_a(r: CheckResult) -> bool:
     w = r.witness
     star, s_val, a = int(w["Sstar"]), int(w["S"]), int(w["a"])
+    if PrimeCtx.for_prime(r.p).decomp.a != a:
+        return False
     return int(w["root"]) ** 2 == -star and star * a == -s_val
 
 
@@ -288,7 +290,9 @@ def _check_row_identity(work: PrimeWork, opts: dict) -> list[CheckResult]:
 
 
 def _revalidate_row_identity(r: CheckResult) -> bool:
-    return int(r.witness["a"]) == PrimeCtx.for_prime(r.p).decomp.a
+    w = r.witness
+    return (int(w["a"]) == PrimeCtx.for_prime(r.p).decomp.a
+            and int(w["j_count"]) == (r.p - 1) // 2)
 
 
 def _carlitz_expected(p: int) -> IntPoly:
@@ -482,15 +486,19 @@ class ResultCache:
     (check_id, p, params, code version).  Stale-version lines are kept but
     ignored on load.  An unparsable last line, as an interrupted write leaves,
     is skipped with a warning and cut off before the next append; an
-    unparsable line anywhere else raises."""
+    unparsable line anywhere else raises.  A whole last line that lacks its
+    newline gets one before the next append."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self.version = code_version()
         self._records: dict[str, list[dict]] = {}
         self._torn_at: int | None = None     # byte offset of a torn last line
+        self._unterminated = False           # the file does not end in a newline
         if self.path.exists():
-            lines = self.path.read_bytes().splitlines(keepends=True)
+            data = self.path.read_bytes()
+            self._unterminated = data[-1:] not in (b"", b"\n")
+            lines = data.splitlines(keepends=True)
             last = max((i for i, line in enumerate(lines) if line.strip()), default=-1)
             offset = 0
             for i, line in enumerate(lines):
@@ -519,13 +527,17 @@ class ResultCache:
     def put(self, task_key: str, results: list[CheckResult]) -> None:
         recs = [r.to_record() for r in results]
         self._records[task_key] = recs
+        newline = ""
         if self._torn_at is not None:
             with self.path.open("r+b") as fh:
                 fh.truncate(self._torn_at)
-            self._torn_at = None
+        elif self._unterminated:
+            newline = "\n"
+        self._torn_at, self._unterminated = None, False
         with self.path.open("a") as fh:
             fh.write(
-                json.dumps(
+                newline
+                + json.dumps(
                     {"version": self.version, "task": task_key, "results": recs},
                     separators=(",", ":"),
                 )

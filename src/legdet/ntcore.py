@@ -11,13 +11,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-# Deterministic Miller-Rabin witness set, valid for all n < 3.3 * 10^24
-# (covers the full 64-bit range and then some).
+# The first 12 primes as Miller-Rabin bases: exact for all n below
+# psi_12 = 318,665,857,834,031,151,167,461, about 3.2 * 10^23 (Sorenson and
+# Webster 2015; OEIS A014233), so for every 64-bit n and then some.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(m: int) -> bool:
-    """Deterministic primality test for machine-word integers."""
+    """Primality by Miller-Rabin to the bases _MR_WITNESSES: exact for every
+    m < 318,665,857,834,031,151,167,461; above that, only a strong
+    probable-prime test."""
     if m < 2:
         return False
     for q in _MR_WITNESSES:

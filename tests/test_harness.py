@@ -196,6 +196,20 @@ def test_revalidate_chapman_rejects_forged_expected():
             assert not revalidate(bad), (check_id, p)
 
 
+def test_revalidate_rejects_witnesses_of_another_prime():
+    # corollary-a's forged witness fits a = 1, but a = -3 at 13 and 5 at 29;
+    # row-identity's fits every a, with a row count that is no prime's
+    for p in (13, 29):
+        [r] = run_check("corollary-a", p)
+        assert r.status == "pass" and revalidate(r), p
+        forged = {"Sstar": "-1", "S": "1", "a": "1", "root": "1"}
+        assert not revalidate(CheckResult(r.check_id, p, None, r.status, forged)), p
+        [r] = run_check("row-identity", p)
+        assert r.status == "pass" and revalidate(r), p
+        forged = dict(r.witness, j_count="999")
+        assert not revalidate(CheckResult(r.check_id, p, None, r.status, forged)), p
+
+
 def test_run_exit_codes_and_text_output():
     out = io.StringIO()
     config = RunConfig(checks=("corollary-a",), pmax=17, fmt="text")
@@ -452,6 +466,23 @@ def test_cache_skips_a_torn_last_line(tmp_path, capsys):
         json.loads(line)
     cache.write_text(first[:10] + "\n" + second + "\n")    # not the last line
     assert cli_main(args + ["--cache", str(cache)]) == 2
+
+
+def test_cache_ends_a_last_line_that_lacks_its_newline(tmp_path, capsys):
+    cache = tmp_path / "c.jsonl"
+    args = ["verify", "--what", "jacobsthal", "--format", "json"]
+    assert cli_main(args + ["--pmax", "17"]) == 0
+    uncached = capsys.readouterr().out
+    assert cli_main(args + ["--pmax", "5", "--cache", str(cache)]) == 0
+    capsys.readouterr()
+    cache.write_bytes(cache.read_bytes()[:-1])    # an interrupted write
+    for _ in range(2):
+        assert cli_main(args + ["--pmax", "17", "--cache", str(cache)]) == 0
+        assert capsys.readouterr().out == uncached
+        lines = cache.read_text().splitlines()
+        assert len(lines) == 3, lines             # 5, then 13 and 17
+    for line in lines:
+        json.loads(line)
 
 
 def test_torn_last_line_warns_on_stderr(tmp_path, capsys):

@@ -37,6 +37,18 @@ def test_is_prime_matches_trial_division():
     assert is_prime((1 << 61) - 1)
 
 
+def test_is_prime_matches_sympy_around_2_64():
+    # the window holds 13 primes, 2^64 + 13 (the Chapman modulus's base,
+    # the least prime above 2^64) among them
+    import sympy
+
+    window = range((1 << 64) - 300, (1 << 64) + 301)
+    primes = [m for m in window if is_prime(m)]
+    assert primes == [m for m in window if sympy.isprime(m)]
+    assert len(primes) == 13
+    assert min(m for m in primes if m > 1 << 64) == (1 << 64) + 13
+
+
 def test_legendre_examples():
     ctx5 = PrimeCtx.for_prime(5)
     ctx13 = PrimeCtx.for_prime(13)
