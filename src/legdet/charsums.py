@@ -3,7 +3,9 @@ arithmetic in Z[zeta_{p-1}], and four results from circulant Fourier values:
 the squares-matrix determinants S(d,p) and S*(1,p), the eigenvalue product
 (eigen-CRT, a second route to S(1,p)) and the Carlitz characteristic
 polynomial.  Each is taken modulo one number Q = Phi_m(2^s), in which 2^s is a
-certified principal m-th root of unity, and lifted from (-Q/2, Q/2).
+certified principal m-th root of unity, and lifted from (-Q/2, Q/2).  The row
+identity of p = a^2 + 4b^2 reads every row sum of the squares matrix, in the
+same circulant order, off one integer product.
 
 The eigenvalue of index k is lambda_k = sum_{j=1..n} ((1+j^2)/p) chi^k(j^2),
 chi a generator of the character group.  eigen_identity decides that these
@@ -18,6 +20,9 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
+import sys
+from array import array
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -381,6 +386,18 @@ def _squares_coeffs(ctx: PrimeCtx, d: int) -> list[int]:
     return coeffs
 
 
+def _square_roots(ctx: PrimeCtx) -> list[int]:
+    """i_u, u < n: the root i <= n of x_u = g^(2u), the row and column of
+    S(d,p) at place u in the circulant order of det_squares."""
+    p, n = ctx.p, ctx.n
+    roots = []
+    x = 1                               # x = g^u, a square root of x_u
+    for _ in range(n):
+        roots.append(x if x <= n else p - x)
+        x = x * ctx.g % p
+    return roots
+
+
 def det_squares(ctx: PrimeCtx, d: int) -> int:
     """det S(d,p) = det [((i^2 + d j^2)/p)] from the matrix's circulant structure.
 
@@ -414,12 +431,8 @@ def det_squares_star(ctx: PrimeCtx) -> int:
     case.  By Hadamard |det S*| <= n^(n/2), and the table's Q exceeds twice
     that.  Exact at every odd prime.
     """
-    p, n, sym = ctx.p, ctx.n, ctx.symbols
-    r = []
-    x = 1                               # x = g^u, a square root of x_u
-    for _ in range(n):
-        r.append(sym[x if x <= n else p - x])
-        x = x * ctx.g % p
+    n, sym = ctx.n, ctx.symbols
+    r = [sym[i] for i in _square_roots(ctx)]
     q, (lams, r_hat) = _fourier_values(n, 4 * n**n, _squares_coeffs(ctx, 1), r)
     suffix = [1] * (n + 1)              # suffix[k] = prod_(l >= k) lambda_l
     for k in range(n - 1, -1, -1):
@@ -477,17 +490,44 @@ def carlitz_char_poly(ctx: PrimeCtx) -> IntPoly:
     return IntPoly.make([_signed(k * c * inv_p % q, q) for k, c in enumerate(chi) if k])
 
 
-def row_identity_check(ctx: PrimeCtx) -> bool:
-    """sum_i ((i^2+j^2)/p)(i/p) = -a (j/p) for every j = 1..n."""
-    import numpy as np
+def _row_sums(ctx: PrimeCtx) -> list[int]:
+    """sum_i ((i^2+j^2)/p)(i/p) for j = 1..n, from one integer product.
 
+    In the circulant order of det_squares, with r_t = (i_t/p) for the roots
+    i_t of _square_roots, the sum of row j = i_u is the cyclic correlation
+    sum_t c_((t-u) mod n) r_t, c_s = ((1 + g^(2s))/p).  c + 1 and the reversed
+    r + 1 are packed into equal slots of two integers (Kronecker
+    substitution), and slots n-1-u and 2n-1-u of their product hold
+    sum_t (c_(t-u) + 1)(r_t + 1) between them: the row sum plus
+    sum c + sum r + n.  A slot sums at most n products of at most 4, so a
+    slot that holds 4n carries nothing into the next.
+    """
+    n, sym = ctx.n, ctx.symbols
+    roots = _square_roots(ctx)
+    c = _squares_coeffs(ctx, 1)
+    r = [sym[i] for i in roots]
+    code = next(code for code in "BHIQ" if 4 * n < 1 << 8 * array(code).itemsize)
+    width = array(code).itemsize
+
+    def pack(vec):
+        # native byte order reverses nothing on a little-endian machine; on a
+        # big-endian one it reverses both factors and the product alike
+        return int.from_bytes(array(code, [v + 1 for v in vec]), sys.byteorder)
+
+    prod = pack(c) * pack(r[::-1])
+    slots = array(code, prod.to_bytes(width * (2 * n - 1), sys.byteorder))
+    slots.append(0)
+    offset = sum(c) + sum(r) + n
+    sums = [0] * n
+    for i, s in zip(roots, map(operator.add, slots[n - 1::-1], slots[:n - 1:-1])):
+        sums[i - 1] = s - offset
+    return sums
+
+
+def row_identity_check(ctx: PrimeCtx) -> bool:
+    """sum_i ((i^2+j^2)/p)(i/p) = -a (j/p) for every j = 1..n, every row sum
+    taken by _row_sums."""
     if ctx.cls != 1 or ctx.decomp is None:
         raise ValueError(f"p={ctx.p} must be 1 (mod 4)")
-    p, n = ctx.p, ctx.n
-    sym = np.array(ctx.symbols, dtype=np.int64)
-    i = np.arange(1, n + 1, dtype=np.int64)
-    sq = i * i % p
-    idx = (sq[:, None] + sq[None, :]) % p
-    lhs = sym[i] @ sym[idx]
-    rhs = -ctx.decomp.a * sym[i]
-    return bool(np.array_equal(lhs, rhs))
+    a, sym = ctx.decomp.a, ctx.symbols
+    return _row_sums(ctx) == [-a * s for s in sym[1:ctx.n + 1]]

@@ -290,9 +290,13 @@ def _check_row_identity(work: PrimeWork, opts: dict) -> list[CheckResult]:
 
 
 def _revalidate_row_identity(r: CheckResult) -> bool:
-    w = r.witness
-    return (int(w["a"]) == PrimeCtx.for_prime(r.p).decomp.a
-            and int(w["j_count"]) == (r.p - 1) // 2)
+    """a and j_count from p, and rows j = 1 and j = n of the identity by
+    direct sums."""
+    w, ctx = r.witness, PrimeCtx.for_prime(r.p)
+    p, n, sym, a = ctx.p, ctx.n, ctx.symbols, int(w["a"])
+    return (a == ctx.decomp.a and int(w["j_count"]) == n and all(
+        sum(sym[(i * i + j * j) % p] * sym[i] for i in range(1, n + 1)) == -a * sym[j]
+        for j in (1, n)))
 
 
 def _carlitz_expected(p: int) -> IntPoly:

@@ -4,8 +4,9 @@ checks through the code `legdet verify --format json` runs.
 The oracles deliberately avoid the library's code paths: symbols by Euler's
 criterion on raw pow, determinants by cofactor expansion, primality by trial
 division, unit minimality by the Pell unit of Z[sqrt p], class numbers by the
-Dirichlet sine product in mpmath, eigenvalue identities in Z[zeta_(p-1)].
-They are the reference implementations the fast paths are checked against.
+Dirichlet sine product in mpmath, eigenvalue identities in Z[zeta_(p-1)], the
+row sums of the squares matrix by an n x n numpy product.  They are the
+reference implementations the fast paths are checked against.
 """
 
 from __future__ import annotations
@@ -202,3 +203,15 @@ def oracle_eigen_identity(p: int, rows=None) -> tuple[bool, bool, int | None]:
             if not is_zero([a - b for a, b in zip(element(row, k), rhs)]):
                 return real, vandermonde, i
     return real, vandermonde, None
+
+
+def oracle_row_sums(p: int) -> list[int]:
+    """sum_i ((i^2+j^2)/p)(i/p) for j = 1..n, n = (p-1)/2, by brute force:
+    the symbol vector times the n x n matrix [((i^2+j^2)/p)], in numpy int64."""
+    import numpy as np
+
+    n = (p - 1) // 2
+    sym = np.array([oracle_legendre(x, p) for x in range(p)], dtype=np.int64)
+    i = np.arange(1, n + 1, dtype=np.int64)
+    sq = i * i % p
+    return [int(s) for s in sym[i] @ sym[(sq[:, None] + sq[None, :]) % p]]

@@ -1,8 +1,9 @@
+import dataclasses
 import math
 
 import pytest
 
-from conftest import oracle_eigen_identity, oracle_legendre, oracle_primes
+from conftest import oracle_eigen_identity, oracle_legendre, oracle_primes, oracle_row_sums
 from legdet import charsums
 from legdet.charsums import (
     CyclotomicElt,
@@ -20,7 +21,7 @@ from legdet.charsums import (
 from legdet.exactla import char_poly, det_exact, det_mod
 from legdet.harness import _carlitz_expected
 from legdet.matrices import carlitz_matrix, squares_matrix, squares_star_matrix
-from legdet.ntcore import PrimeCtx
+from legdet.ntcore import PrimeCtx, TwoSquare
 
 
 def test_cyclotomic_polynomials():
@@ -300,3 +301,37 @@ def test_row_identity():
         assert row_identity_check(PrimeCtx.for_prime(q))
     with pytest.raises(ValueError):
         row_identity_check(PrimeCtx.for_prime(7))
+
+
+def test_row_sums_match_numpy_oracle():
+    for p in oracle_primes(5, 2000, cls4=1):
+        assert charsums._row_sums(PrimeCtx.for_prime(p)) == oracle_row_sums(p), p
+
+
+def test_row_sums_on_both_sides_of_the_slot_width_switch():
+    # a slot holds up to 4n: one byte for n = 56 (p = 113), two for n = 68 (p = 137)
+    assert 4 * 56 < 1 << 8 <= 4 * 68
+    for p in (113, 137):
+        n = (p - 1) // 2
+        sums = charsums._row_sums(PrimeCtx.for_prime(p))
+        for j in (1, 2, 3, n // 2, n - 1, n):
+            direct = sum(oracle_legendre(i * i + j * j, p) * oracle_legendre(i, p)
+                         for i in range(1, n + 1))
+            assert sums[j - 1] == direct, (p, j)
+
+
+def test_row_identity_check_rejects_a_flipped_symbol_or_a_wrong_a():
+    # the route reads (x/p) at every x <= n (the r_t) and at every x = 1 + a
+    # square (the c_s); flipping any one of them must break the identity
+    for p in (13, 29, 113, 137):
+        ctx = PrimeCtx.for_prime(p)
+        assert row_identity_check(ctx)
+        read = set(range(1, ctx.n + 1)) | {(1 + j * j) % p for j in range(1, ctx.n + 1)}
+        for x in read - {0}:
+            sym = list(ctx.symbols)
+            sym[x] = -sym[x]
+            assert not row_identity_check(dataclasses.replace(ctx, symbols=tuple(sym))), (p, x)
+        a, b = ctx.decomp.a, ctx.decomp.b
+        for wrong in (a - 4, a + 4, -a):
+            bad = dataclasses.replace(ctx, decomp=TwoSquare(wrong, b))
+            assert not row_identity_check(bad), (p, wrong)

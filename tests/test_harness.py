@@ -17,7 +17,7 @@ from conftest import oracle_eigen_identity, run_json
 import legdet
 from legdet import charsums, exactla, harness
 from legdet.cli import main as cli_main
-from legdet.exactla import det_affine, det_exact
+from legdet.exactla import det_affine, det_exact, det_mod
 from legdet.harness import (
     CHECK_IDS,
     CheckResult,
@@ -33,7 +33,8 @@ from legdet.harness import (
     run,
     run_check,
 )
-from legdet.matrices import chapman_matrix, squares_matrix, squares_star_matrix
+from legdet.matrices import (carlitz_matrix, chapman_matrix, squares_matrix,
+                             squares_star_matrix)
 from legdet.ntcore import PrimeCtx
 
 
@@ -208,6 +209,21 @@ def test_revalidate_rejects_witnesses_of_another_prime():
         assert r.status == "pass" and revalidate(r), p
         forged = dict(r.witness, j_count="999")
         assert not revalidate(CheckResult(r.check_id, p, None, r.status, forged)), p
+
+
+def test_revalidate_row_identity_recomputes_rows_1_and_n(monkeypatch):
+    # a witness that fits a forged decomposition is caught only by the direct
+    # sums of rows j = 1 and j = n
+    [r] = run_check("row-identity", 29)
+    real = PrimeCtx.for_prime(29)
+    forged = dataclasses.replace(real, decomp=dataclasses.replace(real.decomp, a=1))
+
+    class ForgedCtx:
+        for_prime = staticmethod(lambda p: forged)
+
+    monkeypatch.setattr(harness, "PrimeCtx", ForgedCtx)
+    assert not revalidate(CheckResult(r.check_id, 29, None, r.status, dict(r.witness, a="1")))
+    assert not revalidate(r)            # a = 5 does not fit the forged decomposition
 
 
 def test_run_exit_codes_and_text_output():
@@ -553,6 +569,14 @@ def test_chapman_and_eigen_checks_leave_numpy_and_mpmath_unloaded():
     assert out.split() == ["pass", "pass", "pass", "False", "False"]
 
 
+def test_scalar_checks_leave_numpy_unloaded():
+    out = _fresh_interpreter("import io, sys; from legdet.harness import RunConfig, run; "
+                             "print(run(RunConfig(checks=('lemma-sign', 'jacobsthal', "
+                             "'row-identity'), pmax=101), io.StringIO()), "
+                             "'numpy' in sys.modules)")
+    assert out.split() == ["0", "False"]
+
+
 def _counting(monkeypatch, module, name):
     """Replace module.name by a wrapper that records each call; return the record."""
     calls = []
@@ -651,6 +675,17 @@ def test_cli_det_chapman_prints_the_bareiss_polynomial(capsys):
             assert cli_main(["det", "--matrix", matrix, "--p", str(p)]) == 0
             out = capsys.readouterr().out
             assert out == str(det_affine(chapman_matrix(ctx, star))) + "\n", (p, matrix)
+
+
+def test_cli_det_carlitz_prints_the_constant_term(capsys):
+    for p in (3, 5, 13, 47):
+        assert cli_main(["det", "--matrix", "carlitz", "--p", str(p)]) == 0
+        expected = det_exact(carlitz_matrix(PrimeCtx.for_prime(p)))
+        assert capsys.readouterr().out == f"{expected}\n", p
+    q = (1 << 61) - 1
+    assert cli_main(["det", "--matrix", "carlitz", "--p", "199"]) == 0
+    value = int(capsys.readouterr().out)
+    assert value % q == det_mod(carlitz_matrix(PrimeCtx.for_prime(199)), q)
 
 
 def test_cli_eigen(capsys):
