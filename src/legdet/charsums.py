@@ -3,9 +3,14 @@ arithmetic in Z[zeta_{p-1}], and four results from circulant Fourier values:
 the squares-matrix determinants S(d,p) and S*(1,p), the eigenvalue product
 (eigen-CRT, a second route to S(1,p)) and the Carlitz characteristic
 polynomial.  Each is taken modulo one number Q = Phi_m(2^s), in which 2^s is a
-certified principal m-th root of unity, and lifted from (-Q/2, Q/2).  The row
-identity of p = a^2 + 4b^2 reads every row sum of the squares matrix, in the
-same circulant order, off one integer product.
+certified principal m-th root of unity, and lifted from (-Q/2, Q/2).  For the
+first three, s = 8B is a whole number of bytes, so each Fourier value is one
+byte slice of a repeated coefficient buffer read as an integer (Kronecker
+substitution); det_squares stops as soon as its product is 0 mod Q, which
+makes that determinant 0 exactly.  Carlitz takes the smallest s, which keeps
+its product tree narrow, and sums a table of powers.  The row identity of
+p = a^2 + 4b^2 reads every row sum of the squares matrix, in the same
+circulant order, off one integer product.
 
 The eigenvalue of index k is lambda_k = sum_{j=1..n} ((1+j^2)/p) chi^k(j^2),
 chi a generator of the character group.  eigen_identity decides that these
@@ -24,7 +29,7 @@ import operator
 import sys
 from array import array
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .exactla import IntPoly, det_exact
 from .matrices import squares_matrix
@@ -259,9 +264,9 @@ def eigen_verify(
     return EigenReport(ctx.p, "float", lam_re, residuals, None, identity)
 
 
-def _cyclotomic_modulus(m: int, sq_bound: int) -> tuple[int, int]:
+def _cyclotomic_modulus(m: int, sq_bound: int, step: int = 1) -> tuple[int, int]:
     """(Q, w) with w = 2^s and Q = Phi_m(w), every prime factor of m divided
-    out, for the smallest s with Q^2 > sq_bound.
+    out, for the smallest multiple s of step with Q^2 > sq_bound.
 
     Every prime factor of Phi_m(w) that does not divide m is 1 (mod m), and w
     has order exactly m modulo it.  So w is a principal m-th root of unity
@@ -272,7 +277,7 @@ def _cyclotomic_modulus(m: int, sq_bound: int) -> tuple[int, int]:
     factors = _factor_trial(m)
     w = 1
     while True:
-        w *= 2              # not w*w: the overshoot makes every product dearer
+        w <<= step          # not w*w: the overshoot makes every product dearer
         num = den = 1       # Phi_m(w) = prod_(e | rad m) (w^(m/e) - 1)^mu(e)
         for subset in range(1 << len(factors)):
             term = w ** (m // math.prod(r for i, r in enumerate(factors)
@@ -291,36 +296,63 @@ def _cyclotomic_modulus(m: int, sq_bound: int) -> tuple[int, int]:
 
 def eigen_product(ctx: PrimeCtx) -> int:
     """The product of all lambda_k by eigen-CRT: every lambda_k is evaluated
-    as its character sum mod Q = Phi_(p-1)(w) of _cyclotomic_modulus, and
-    the product is lifted from Z/QZ.
+    as its character sum mod Q = Phi_(p-1)(w), w = 2^(8B), of
+    _cyclotomic_modulus, and the product is lifted from Z/QZ.
 
-    Mod Q, zeta_(p-1) becomes w, of order p - 1, and lambda_k is
-    sum_(j <= n) ((1+j^2)/p) w^(2k dlog j).  Ordered by the squares g^(2t),
-    S(1,p) is a circulant with exactly these eigenvalues, so their product is
-    det S(1,p) at every odd p, at most n^(n/2) in absolute value by Hadamard,
-    and Q exceeds twice that.  This route is kept apart from det_squares: its
-    ring has m = p - 1 (theirs m = n), it certifies Q and w in its own code,
-    and it indexes the terms of lambda_k by j rather than by the exponent of
-    g^2.  A fault in the shared constructor of Q can thus only raise.
+    Mod Q, zeta_(p-1) becomes w, of order m = p - 1, and lambda_k is
+    sum_t v_t w^(kt), where v_t = ((1+j^2)/p) at t = 2 dlog j for j <= n and
+    0 elsewhere.  Ordered by the squares g^(2t), S(1,p) is a circulant with
+    exactly these eigenvalues, k = 1..n, so their product is det S(1,p) at
+    every odd p, at most n^(n/2) in absolute value by Hadamard, and Q exceeds
+    twice that.
+
+    Each lambda_k is read off bytes.  With h = gcd(k, m), m' = m/h and the
+    folded V_t = sum_(u = t mod m') v_u, lambda_k = sum_(e < m') V_(k'e) w^(he),
+    k' the inverse of k/h mod m'.  Adding h sum_e w^(he) = h (w^m - 1)/(w^h - 1)
+    changes nothing mod Q, because w^h - 1 divides some w^(m/r) - 1, which
+    the certificate makes a unit.  So lambda_k is the integer whose byte
+    e h B holds V_(k'e) + h, in [0, 2h]: bytes(V + h) repeated m' times and
+    sliced with step k'.  As m is even and w^(m/2) = -1 mod Q, its upper
+    half is subtracted from its lower half before the % Q.  When 2h does not
+    fit a byte, the m' <= m/128 terms are summed directly.
+
+    This route is kept apart from det_squares: its ring has m = p - 1
+    (theirs m = n), it certifies Q and w in its own code, and it indexes the
+    terms of lambda_k by j rather than by the exponent of g^2.  A fault in
+    the shared constructor of Q can thus only raise.
     """
     p, n, m = ctx.p, ctx.n, ctx.p - 1
     sym, dlog = ctx.symbols, ctx.dlog
     sq_bound = 4 * n**n
-    q, z = _cyclotomic_modulus(m, sq_bound)
-    if q * q <= sq_bound or pow(z, m, q) != 1 or any(
+    q, z = _cyclotomic_modulus(m, sq_bound, 8)
+    shift = z.bit_length() - 1
+    if q * q <= sq_bound or z != 1 << shift or shift % 8 or pow(z, m, q) != 1 or any(
             math.gcd(pow(z, m // r, q) - 1, q) != 1 for r in _factor_trial(m)):
         raise ArithmeticError(f"eigen-CRT: the modulus for m = {m} fails its certificate")
-    # the term of j in lambda_k sits at 2k dlog j (mod m) in the table
-    # [z^i mod q] + [-z^i mod q], m further on when ((1+j^2)/p) = -1
-    terms = [(2 * dlog[j] % m, 0 if c > 0 else m)
-             for j in range(1, n + 1) if (c := sym[(1 + j * j) % p])]
-    powers = [1] * m
-    for i in range(1, m):
-        powers[i] = powers[i - 1] * z % q
-    get = (powers + [q - x for x in powers]).__getitem__
+    width = shift // 8                      # B
+    half = m // 2 * width
+    v = [0] * m
+    for j in range(1, n + 1):
+        v[2 * dlog[j] % m] = sym[(1 + j * j) % p]
     prod = 1
-    for k in range(1, n + 1):
-        prod = prod * sum(map(get, [k * e % m + off for e, off in terms])) % q
+    for h in range(1, n + 1):
+        if m % h:
+            continue
+        m1 = m // h
+        folded = [sum(v[t::m1]) for t in range(m1)]
+        ks = [k for k in range(1, m1 // 2 + 1) if math.gcd(k, m1) == 1]   # h k <= n
+        if 2 * h < 256:
+            rep = bytes(x + h for x in folded) * m1
+            buf = bytearray(m * width)
+            for k in ks:
+                inv = pow(k, -1, m1)
+                buf[::h * width] = rep[:inv * m1:inv]
+                lam = int.from_bytes(buf[:half], "little") - int.from_bytes(buf[half:], "little")
+                prod = prod * (lam % q) % q
+        else:
+            for k in ks:
+                lam = sum(x << h * shift * (k * t % m1) for t, x in enumerate(folded))
+                prod = prod * (lam % q) % q
     return prod if 2 * prod < q else prod - q
 
 
@@ -328,42 +360,70 @@ def product_identity(ctx: PrimeCtx) -> tuple[int, int]:
     """(product of all lambda_k by eigen-CRT, exact det of the matrix).
 
     The two values are computed along routes that share no code: character
-    sums mod Phi_(p-1)(2^s) on one side, Bareiss elimination on the other.
+    sums mod Phi_(p-1)(2^(8B)) on one side, Bareiss elimination on the other.
     """
     return eigen_product(ctx), det_exact(squares_matrix(ctx, 1))
 
 
 @functools.lru_cache(maxsize=4)
-def _fourier_tables(m: int, sq_bound: int) -> tuple[int, list[int]]:
-    """Q of _cyclotomic_modulus(m, sq_bound) and its table [w^j mod Q] +
-    [-w^j mod Q] (j < m), once Q and w are certified: Q^2 > sq_bound, and w
-    has order exactly m modulo every prime factor of Q, since w^m = 1 and
-    w^(m/r) - 1 is a unit for every prime r | m.  Then w is a principal m-th
-    root of unity and m a unit mod Q.  ArithmeticError if either fails."""
-    q, w = _cyclotomic_modulus(m, sq_bound)
-    if q * q <= sq_bound or pow(w, m, q) != 1 or any(
+def _fourier_modulus(m: int, sq_bound: int, step: int) -> tuple[int, int]:
+    """(Q, w) of _cyclotomic_modulus(m, sq_bound, step), once certified:
+    w = 2^s with step | s, Q^2 > sq_bound, and w has order exactly m modulo
+    every prime factor of Q, since w^m = 1 and w^(m/r) - 1 is a unit for
+    every prime r | m.  Then w is a principal m-th root of unity and m a unit
+    mod Q, and so is w^g - 1 for every proper divisor g of m, a divisor of
+    some w^(m/r) - 1.  ArithmeticError if any of this fails."""
+    q, w = _cyclotomic_modulus(m, sq_bound, step)
+    s = w.bit_length() - 1
+    if q * q <= sq_bound or w != 1 << s or s % step or pow(w, m, q) != 1 or any(
             math.gcd(pow(w, m // r, q) - 1, q) != 1 for r in _factor_trial(m)):
         raise ArithmeticError(f"Fourier modulus for m = {m} fails its certificate")
-    powers = [1] * m
-    for j in range(1, m):
-        powers[j] = powers[j - 1] * w % q
-    return q, powers + [q - x for x in powers]
+    return q, w
 
 
-def _fourier_values(m: int, sq_bound: int, *vectors) -> tuple[int, list[list[int]]]:
-    """(Q, values) for the table of _fourier_tables(m, sq_bound), where
-    values[i][k] = sum_s c_s w^(ks) mod Q for the i-th vector (c_s), k < m.
+def _fourier_values(vec: list[int], q: int, w: int) -> Iterator[int]:
+    """lambda_k = sum_t c_t w^(kt) mod Q for every k < m, where (c_t) = vec
+    has length m and entries -1, 0 and 1, and (Q, w) comes from
+    _fourier_modulus(m, ., 8): lambda_0 = sum c, exactly, first, then the
+    other k in the order of (gcd(k, m), k).
 
-    Each c_s is -1, 0 or 1 and each vector has length m, so the term c_s w^(ks)
-    sits in the table at k*s mod m, m further on if c_s = -1."""
-    q, table = _fourier_tables(m, sq_bound)
-    get = table.__getitem__
-    values = []
-    for vec in vectors:
-        terms = [(s, 0 if c > 0 else m) for s, c in enumerate(vec) if c]
-        values.append([sum(map(get, [k * s % m + off for s, off in terms])) % q
-                       for k in range(m)])
-    return q, values
+    w = 2^(8B), so w^e is byte e B of an integer.  With m' = m/g, k' the
+    inverse of k/g mod m' and c folded into C_t = sum_(u = t mod m') c_u,
+    lambda_k = sum_(e < m') C_(k'e) w^(ge).  Adding g sum_e w^(ge) =
+    g (w^m - 1)/(w^g - 1) changes nothing mod Q, since w^g - 1 is a unit,
+    and makes each coefficient a byte C_(k'e) + g in [0, 2g] while 2g < 256.
+    So lambda_k is bytes(C + g) repeated m' times, sliced with step k' and
+    laid g B bytes apart: for g = 1, one slice of bytes(c + 1) * m, an
+    m^2-byte buffer.  For even m, w^(m/2) = -1 mod Q (w^m = 1, and
+    w^(m/2) - 1 is a unit), so the upper half of that integer is subtracted
+    from the lower half before the % Q.  When 2g >= 256, the m' <= m/128
+    terms are summed directly.
+    """
+    m = len(vec)
+    width = (w.bit_length() - 1) // 8       # B
+    half = m // 2 * width
+    yield sum(vec)
+    for g in range(1, m):
+        if m % g:
+            continue
+        m1 = m // g
+        bins = [sum(vec[t::m1]) for t in range(m1)]
+        units = [k for k in range(1, m1) if math.gcd(k, m1) == 1]
+        if 2 * g < 256:
+            rep = bytes(x + g for x in bins) * m1
+            out = bytearray(m * width)
+            for k in units:
+                inv = pow(k, -1, m1)
+                out[::g * width] = rep[:inv * m1:inv]
+                if m % 2:
+                    yield int.from_bytes(out, "little") % q
+                else:
+                    yield (int.from_bytes(out[:half], "little")
+                           - int.from_bytes(out[half:], "little")) % q
+        else:
+            for k in units:
+                yield sum(x << 8 * width * g * (k * t % m1)
+                          for t, x in enumerate(bins)) % q
 
 
 def _signed(r: int, q: int) -> int:
@@ -405,16 +465,26 @@ def det_squares(ctx: PrimeCtx, d: int) -> int:
     circulant [c_((u-t) mod n)], c_s = ((1 + d g^(2s))/p), since
     ((x + d y)/p) = ((1 + d y/x)/p) for a square x.  Its determinant is
     prod_k sum_s c_s w^(ks) over the n-th roots of unity w^k; that product is
-    taken mod Q = Phi_n(w) of _fourier_tables and lifted into (-Q/2, Q/2).
-    Q^2 > 4 n^n, so Q exceeds twice the Hadamard bound n^(n/2) of every
-    determinant of dimension n with entries in {-1, 0, 1}: exact for every d
-    and every odd prime, and S*(1,p) shares the table.
+    taken mod Q = Phi_n(w) of _fourier_modulus, over the values of
+    _fourier_values, and lifted into (-Q/2, Q/2).  Q^2 > 4 n^n, so Q exceeds
+    twice the Hadamard bound n^(n/2) of every determinant of dimension n with
+    entries in {-1, 0, 1}: exact for every d and every odd prime, and
+    S*(1,p) shares the modulus.
+
+    Since |det| < Q/2, det = 0 exactly as soon as the product is 0 mod Q,
+    and the route stops there.  lambda_0 = sum_s c_s is exact, and when it is
+    0 (a non-residue d at p = 1 (mod 4)) no modulus is built at all.
     """
     n = ctx.n
-    q, (lams,) = _fourier_values(n, 4 * n**n, _squares_coeffs(ctx, d))
+    c = _squares_coeffs(ctx, d)
+    if sum(c) == 0:
+        return 0
+    q, w = _fourier_modulus(n, 4 * n**n, 8)
     det = 1
-    for lam in lams:
+    for lam in _fourier_values(c, q, w):
         det = det * lam % q
+        if det == 0:
+            return 0
     return _signed(det, q)
 
 
@@ -428,12 +498,14 @@ def det_squares_star(ctx: PrimeCtx) -> int:
     adj(C) = F diag(nu_k) F^-1 with nu_k = prod_(l != k) lambda_l, and
     det S* = (1/n) sum_k nu_k R_k with R_k = sum_u r_u w^(ku).  The nu_k are
     taken by prefix and suffix products, so a zero lambda needs no special
-    case.  By Hadamard |det S*| <= n^(n/2), and the table's Q exceeds twice
+    case.  By Hadamard |det S*| <= n^(n/2), and det_squares' Q exceeds twice
     that.  Exact at every odd prime.
     """
     n, sym = ctx.n, ctx.symbols
     r = [sym[i] for i in _square_roots(ctx)]
-    q, (lams, r_hat) = _fourier_values(n, 4 * n**n, _squares_coeffs(ctx, 1), r)
+    q, w = _fourier_modulus(n, 4 * n**n, 8)
+    lams = list(_fourier_values(_squares_coeffs(ctx, 1), q, w))
+    r_hat = list(_fourier_values(r, q, w))        # the same order of k
     suffix = [1] * (n + 1)              # suffix[k] = prod_(l >= k) lambda_l
     for k in range(n - 1, -1, -1):
         suffix[k] = suffix[k + 1] * lams[k] % q
@@ -474,17 +546,28 @@ def carlitz_char_poly(ctx: PrimeCtx) -> IntPoly:
     column 0 deleted.  Every principal (p-1)-minor of xI - A is a cyclic
     shift of that one, and together they sum to chi_A'(x), so
     det(xI - C) = chi_A'(x)/p.  chi_A = prod_k (x - mu_k) over the Fourier
-    values mu_k = sum_s ((-s)/p) w^(ks) of A, taken mod Q = Phi_p(w) of
-    _fourier_tables.  The coefficient of x^(p-1-m) is, up to sign, a sum of
-    C(p-1, m) principal m-minors of C, each at most (p-1)^(m/2) by Hadamard
-    (off the diagonal every entry is +-1), so every coefficient is at most
+    values mu_k = sum_s ((-s)/p) w^(ks) of A, summed from the table
+    [w^j mod Q] + [-w^j mod Q] with Q = Phi_p(w) of _fourier_modulus and
+    w = 2^s for the smallest s, not a whole number of bytes: a byte-aligned
+    w would double the width of Q and the cost of the product tree with it.
+    The coefficient of x^(p-1-m) is, up to sign, a sum of C(p-1, m)
+    principal m-minors of C, each at most (p-1)^(m/2) by Hadamard (off the
+    diagonal every entry is +-1), so every coefficient is at most
     sum_m C(p-1, m) (p-1)^(m/2) = (1 + sqrt(p-1))^(p-1) in absolute value,
     and Q exceeds twice that.
     """
     p, sym = ctx.p, ctx.symbols
     # (1 + sqrt(p-1))^2 <= p + ceil(2 sqrt(p-1)), and isqrt(4m - 1) + 1 = ceil(2 sqrt m)
     sq_bound = 4 * (p + math.isqrt(4 * p - 5) + 1) ** (p - 1)
-    q, (mus,) = _fourier_values(p, sq_bound, [sym[-s % p] for s in range(p)])
+    q, w = _fourier_modulus(p, sq_bound, 1)
+    powers = [1] * p
+    for j in range(1, p):
+        powers[j] = powers[j - 1] * w % q
+    get = (powers + [q - x for x in powers]).__getitem__
+    # the term of s in mu_k sits in the table at k*s mod p, p further on
+    # when ((-s)/p) = -1
+    terms = [(s, 0 if c > 0 else p) for s in range(p) if (c := sym[-s % p])]
+    mus = [sum(map(get, [k * s % p + off for s, off in terms])) % q for k in range(p)]
     chi = _poly_from_roots(mus, q)
     inv_p = pow(p, -1, q)
     return IntPoly.make([_signed(k * c * inv_p % q, q) for k, c in enumerate(chi) if k])

@@ -91,8 +91,8 @@ class PrimeWork:
     S(1,p) is returned only once eigen-CRT (charsums.eigen_product) agrees.
     It is a second route with its own ring (Phi_(p-1)(2^s), det_squares works
     mod Phi_n(2^s)), its own certificate of its root of unity and its own
-    power table; a fault in the constructor of the modulus they share can
-    only raise.  A disagreement raises ArithmeticError.
+    packed evaluation; a fault in the constructor of the modulus they share
+    can only raise.  A disagreement raises ArithmeticError.
     """
 
     def __init__(self, p: int):

@@ -148,13 +148,16 @@ def _two_square(p: int, g: int) -> TwoSquare:
 
     g generates the units mod p, so g^((p-1)/2) = -1 and g^((p-1)/4) is a
     square root of -1.  Either root gives the same normalized result.
+    ArithmeticError if the descent does not end at x^2 + y^2 = p, as when
+    g^((p-1)/4) is no square root of -1 because g is no generator.
     """
     a0, b0 = p, pow(g, (p - 1) // 4, p)
     while b0 * b0 > p:
         a0, b0 = b0, a0 % b0
     x = b0
     y = math.isqrt(p - x * x)
-    assert x * x + y * y == p
+    if x * x + y * y != p:
+        raise ArithmeticError(f"no p = x^2 + y^2 from g = {g} mod {p}")
     odd, even = (x, y) if x % 2 == 1 else (y, x)
     a = odd if odd % 4 == 1 else -odd
     return TwoSquare(a, even // 2)

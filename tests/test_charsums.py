@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 
 import pytest
 
@@ -209,25 +210,29 @@ def test_cyclotomic_modulus_certificate():
 
     for m in [*range(1, 421), 2310]:
         bound = 4 * m**m
-        q, w = charsums._cyclotomic_modulus(m, bound)
-        assert q * q > bound and q == phi_at(m, w), m
-        # the smallest s: 2^(s-1) gives too small a modulus
-        assert w == 2 or phi_at(m, w // 2) ** 2 <= bound, m
-        assert pow(w, m, q) == 1 and math.gcd(m, q) == 1, m
-        for r in primes:
-            if m % r == 0:
-                assert math.gcd(pow(w, m // r, q) - 1, q) == 1, (m, r)
+        # the 1-bit step of Carlitz and the byte step of the packed routes
+        for step in (1, 8):
+            q, w = charsums._cyclotomic_modulus(m, bound, step)
+            assert q * q > bound and q == phi_at(m, w), (m, step)
+            assert w == 1 << (w.bit_length() - 1) and (w.bit_length() - 1) % step == 0
+            # the smallest s: 2^(s-step) gives too small a modulus
+            assert w == 1 << step or phi_at(m, w >> step) ** 2 <= bound, (m, step)
+            assert pow(w, m, q) == 1 and math.gcd(m, q) == 1, (m, step)
+            for r in primes:
+                if m % r == 0:
+                    assert math.gcd(pow(w, m // r, q) - 1, q) == 1, (m, r, step)
+        assert charsums._cyclotomic_modulus(m, bound) == charsums._cyclotomic_modulus(m, bound, 1)
 
 
 @pytest.mark.parametrize("fault", ["w = 1", "Q too small"])
 def test_every_route_raises_on_an_uncertified_modulus(monkeypatch, fault):
     orig = charsums._cyclotomic_modulus
     if fault == "w = 1":                # order 1, below every m > 1
-        patched = lambda m, bound: (orig(m, bound)[0], 1)
+        patched = lambda m, bound, step=1: (orig(m, bound)[0], 1)
     else:                               # w = 2 has order m mod Phi_m(2)
-        patched = lambda m, bound: orig(m, 0)
+        patched = lambda m, bound, step=1: orig(m, 0)
     monkeypatch.setattr(charsums, "_cyclotomic_modulus", patched)
-    charsums._fourier_tables.cache_clear()
+    charsums._fourier_modulus.cache_clear()
     ctx = PrimeCtx.for_prime(13)
     try:
         for route in (lambda: det_squares(ctx, 1), lambda: det_squares_star(ctx),
@@ -235,16 +240,86 @@ def test_every_route_raises_on_an_uncertified_modulus(monkeypatch, fault):
             with pytest.raises(ArithmeticError, match="fails its certificate"):
                 route()
     finally:
-        charsums._fourier_tables.cache_clear()
+        charsums._fourier_modulus.cache_clear()
 
 
 def test_eigen_product_certifies_its_own_modulus(monkeypatch):
-    # eigen-CRT reads no table of the Fourier core that det_squares uses
-    def no_table(m, sq_bound):
-        raise AssertionError("eigen_product used _fourier_tables")
+    # eigen-CRT reads nothing of the Fourier core that det_squares uses
+    def no_table(m, sq_bound, step):
+        raise AssertionError("eigen_product used _fourier_modulus")
 
-    monkeypatch.setattr(charsums, "_fourier_tables", no_table)
+    def no_values(vec, q, w):
+        raise AssertionError("eigen_product used _fourier_values")
+
+    monkeypatch.setattr(charsums, "_fourier_modulus", no_table)
+    monkeypatch.setattr(charsums, "_fourier_values", no_values)
     assert eigen_product(PrimeCtx.for_prime(13)) == -27
+
+
+def _slot_bytes(m: int, n: int) -> int:
+    """B of the packed routes' w = 2^(8B) for dimension m and Hadamard bound n^(n/2)."""
+    w = charsums._cyclotomic_modulus(m, 4 * n**n, 8)[1]
+    return (w.bit_length() - 1) // 8
+
+
+def test_packed_values_at_slot_widths_1_2_3():
+    q = (1 << 61) - 1
+    for p, width in ((67, 1), (61, 2), (421, 3)):
+        ctx = PrimeCtx.for_prime(p)
+        assert _slot_bytes(ctx.n, ctx.n) == width, p
+        assert det_squares(ctx, 1) == eigen_product(ctx), p
+    assert _slot_bytes(420, 210) == 2             # eigen-CRT's own width at p = 421
+    for p in (61, 67):                              # 421 is held to det_mod above
+        ctx = PrimeCtx.for_prime(p)
+        for d in (1, 2, -1):
+            assert det_squares(ctx, d) % q == det_mod(squares_matrix(ctx, d), q), (p, d)
+
+
+def test_fourier_values_match_a_power_table():
+    # random vectors, so that lambda_k and lambda_(-k) differ: every fold of
+    # S(1,p) is symmetric.  m = 30, 33, 210: slots of 2, 1, 3 bytes; 260 and
+    # 384 = 3 * 128 fold into bins too wide for a byte, 384 also at k/g = 2
+    for m in (1, 2, 30, 33, 210, 260, 384):
+        rng = random.Random(m)
+        vec = [rng.choice((-1, 0, 1)) for _ in range(m)]
+        q, w = charsums._fourier_modulus(m, 4 * m**m, 8)
+        powers = [pow(w, j, q) for j in range(m)]
+        order = [0] + sorted(range(1, m), key=lambda k: (math.gcd(k, m), k))
+        expected = [sum(c * powers[k * t % m] for t, c in enumerate(vec)) % q for k in order]
+        got = list(charsums._fourier_values(vec, q, w))
+        assert got[0] == sum(vec) and got[1:] == expected[1:], m
+
+
+def test_packed_values_sum_a_wide_fold_directly():
+    # a divisor g >= 128 of n (and of p - 1) folds c into bins of up to 2g,
+    # which a byte does not hold: n = 260 = 2 * 130 and 270 = 2 * 135
+    for p, g in ((521, 130), (541, 135)):
+        ctx = PrimeCtx.for_prime(p)
+        assert ctx.n % g == 0 and 2 * g >= 256 and ctx.n > g
+        assert det_squares(ctx, 1) == eigen_product(ctx), p
+    q = (1 << 61) - 1
+    ctx = PrimeCtx.for_prime(521)
+    assert det_squares(ctx, 1) % q == det_mod(squares_matrix(ctx, 1), q)
+
+
+def test_det_squares_of_a_non_residue_builds_no_modulus(monkeypatch):
+    # at p = 1 (mod 4), lambda_0 = sum_s ((1 + d g^(2s))/p) is 0 for a
+    # non-residue d, so S(d,p) = 0 is known before any modulus is built
+    def no_modulus(m, bound, step=1):
+        raise AssertionError("det_squares built a modulus")
+
+    monkeypatch.setattr(charsums, "_cyclotomic_modulus", no_modulus)
+    charsums._fourier_modulus.cache_clear()
+    try:
+        for p in (13, 401, 1009):
+            ctx = PrimeCtx.for_prime(p)
+            for d in range(1, p):
+                if oracle_legendre(d, p) == -1:
+                    assert det_squares(ctx, d) == 0, (p, d)
+        with pytest.raises(AssertionError, match="built a modulus"):
+            det_squares(PrimeCtx.for_prime(13), 1)
+    finally:
+        charsums._fourier_modulus.cache_clear()
 
 
 def test_det_squares_star_matches_bareiss():

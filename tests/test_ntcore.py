@@ -1,6 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import legdet
 
 from conftest import (
     oracle_is_prime,
@@ -12,6 +18,7 @@ from conftest import (
 from legdet.ntcore import (
     PrimeCtx,
     TwoSquare,
+    _two_square,
     find_generator,
     is_perfect_square,
     is_prime,
@@ -110,6 +117,21 @@ def test_two_square_unique_and_normalized():
 
 def test_two_square_rejects_3_mod_4():
     assert PrimeCtx.for_prime(7).decomp is None
+
+
+def test_two_square_raises_on_a_non_generator():
+    # 3 has order 3 mod 13, so 3^3 = 1 is no square root of -1; the check
+    # must not be an assert, which python -O strips
+    assert _two_square(13, 2) == TwoSquare(-3, 1)
+    with pytest.raises(ArithmeticError):
+        _two_square(13, 3)
+    code = ("from legdet.ntcore import _two_square\n"
+            "try:\n    _two_square(13, 3)\nexcept ArithmeticError:\n    print('raised')")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(legdet.__file__).parent.parent), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out == "raised\n"
 
 
 def test_jacobsthal_examples():
