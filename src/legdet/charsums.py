@@ -3,14 +3,16 @@ arithmetic in Z[zeta_{p-1}], and four results from circulant Fourier values:
 the squares-matrix determinants S(d,p) and S*(1,p), the eigenvalue product
 (eigen-CRT, a second route to S(1,p)) and the Carlitz characteristic
 polynomial.  Each is taken modulo one number Q = Phi_m(2^s), in which 2^s is a
-certified principal m-th root of unity, and lifted from (-Q/2, Q/2).  For the
-first three, s = 8B is a whole number of bytes, so each Fourier value is one
-byte slice of a repeated coefficient buffer read as an integer (Kronecker
-substitution); det_squares stops as soon as its product is 0 mod Q, which
-makes that determinant 0 exactly.  Carlitz takes the smallest s, which keeps
-its product tree narrow, and sums a table of powers.  The row identity of
-p = a^2 + 4b^2 reads every row sum of the squares matrix, in the same
-circulant order, off one integer product.
+certified principal m-th root of unity, and lifted from (-Q/2, Q/2).  Each
+Fourier value is read off byte slices of a repeated coefficient buffer as
+one integer (Kronecker substitution) at a root w = 2^(8B) of Q whose w^g - 1
+is a unit for every proper divisor g of m.  For the first three, s = 8B is
+the least whole number of bytes; det_squares stops as soon as its product is
+0 mod Q, which makes that determinant 0 exactly.  Carlitz takes the least s,
+which keeps its product tree narrow, and reads its values at
+w = (2^s)^r = 2^lcm(8, s): r | 8 and p is odd, so w keeps the order p.
+The row identity of p = a^2 + 4b^2 reads every row sum of the squares
+matrix, in the same circulant order, off one integer product.
 
 The eigenvalue of index k is lambda_k = sum_{j=1..n} ((1+j^2)/p) chi^k(j^2),
 chi a generator of the character group.  eigen_identity decides that these
@@ -310,11 +312,12 @@ def eigen_product(ctx: PrimeCtx) -> int:
     folded V_t = sum_(u = t mod m') v_u, lambda_k = sum_(e < m') V_(k'e) w^(he),
     k' the inverse of k/h mod m'.  Adding h sum_e w^(he) = h (w^m - 1)/(w^h - 1)
     changes nothing mod Q, because w^h - 1 divides some w^(m/r) - 1, which
-    the certificate makes a unit.  So lambda_k is the integer whose byte
-    e h B holds V_(k'e) + h, in [0, 2h]: bytes(V + h) repeated m' times and
-    sliced with step k'.  As m is even and w^(m/2) = -1 mod Q, its upper
-    half is subtracted from its lower half before the % Q.  When 2h does not
-    fit a byte, the m' <= m/128 terms are summed directly.
+    the certificate makes a unit.  So lambda_k is the integer whose h B-byte
+    slot e holds V_(k'e) + h, in [0, 2h]: byte i of each slot is the slice
+    with step k' of the plane bytes(((V + h) >> 8i) & 255) * m', one plane
+    while 2h < 256.  As m is even and w^(m/2) = -1 mod Q, its upper half is
+    subtracted from its lower half before the % Q.  The h = 1 plane is m^2
+    bytes; each divisor's planes are freed before the next are built.
 
     This route is kept apart from det_squares: its ring has m = p - 1
     (theirs m = n), it certifies Q and w in its own code, and it indexes the
@@ -339,20 +342,18 @@ def eigen_product(ctx: PrimeCtx) -> int:
         if m % h:
             continue
         m1 = m // h
-        folded = [sum(v[t::m1]) for t in range(m1)]
+        folded = [sum(v[t::m1]) + h for t in range(m1)]
         ks = [k for k in range(1, m1 // 2 + 1) if math.gcd(k, m1) == 1]   # h k <= n
-        if 2 * h < 256:
-            rep = bytes(x + h for x in folded) * m1
-            buf = bytearray(m * width)
-            for k in ks:
-                inv = pow(k, -1, m1)
-                buf[::h * width] = rep[:inv * m1:inv]
-                lam = int.from_bytes(buf[:half], "little") - int.from_bytes(buf[half:], "little")
-                prod = prod * (lam % q) % q
-        else:
-            for k in ks:
-                lam = sum(x << h * shift * (k * t % m1) for t, x in enumerate(folded))
-                prod = prod * (lam % q) % q
+        reps = [bytes(x >> 8 * i & 255 for x in folded) * m1
+                for i in range(((2 * h).bit_length() + 7) // 8)]
+        buf = bytearray(m * width)
+        for k in ks:
+            inv = pow(k, -1, m1)
+            for i, rep in enumerate(reps):
+                buf[i::h * width] = rep[:inv * m1:inv]
+            lam = int.from_bytes(buf[:half], "little") - int.from_bytes(buf[half:], "little")
+            prod = prod * (lam % q) % q
+        del reps, rep
     return prod if 2 * prod < q else prod - q
 
 
@@ -383,21 +384,22 @@ def _fourier_modulus(m: int, sq_bound: int, step: int) -> tuple[int, int]:
 
 def _fourier_values(vec: list[int], q: int, w: int) -> Iterator[int]:
     """lambda_k = sum_t c_t w^(kt) mod Q for every k < m, where (c_t) = vec
-    has length m and entries -1, 0 and 1, and (Q, w) comes from
-    _fourier_modulus(m, ., 8): lambda_0 = sum c, exactly, first, then the
-    other k in the order of (gcd(k, m), k).
+    has length m and entries -1, 0 and 1: lambda_0 = sum c, exactly, first,
+    then the other k in the order of (gcd(k, m), k).  w = 2^(8B) must be a
+    principal m-th root of unity mod Q with w^g - 1 a unit for every proper
+    divisor g of m, as _fourier_modulus certifies (for carlitz_char_poly's
+    power of its w, see there).
 
-    w = 2^(8B), so w^e is byte e B of an integer.  With m' = m/g, k' the
-    inverse of k/g mod m' and c folded into C_t = sum_(u = t mod m') c_u,
-    lambda_k = sum_(e < m') C_(k'e) w^(ge).  Adding g sum_e w^(ge) =
-    g (w^m - 1)/(w^g - 1) changes nothing mod Q, since w^g - 1 is a unit,
-    and makes each coefficient a byte C_(k'e) + g in [0, 2g] while 2g < 256.
-    So lambda_k is bytes(C + g) repeated m' times, sliced with step k' and
-    laid g B bytes apart: for g = 1, one slice of bytes(c + 1) * m, an
-    m^2-byte buffer.  For even m, w^(m/2) = -1 mod Q (w^m = 1, and
-    w^(m/2) - 1 is a unit), so the upper half of that integer is subtracted
-    from the lower half before the % Q.  When 2g >= 256, the m' <= m/128
-    terms are summed directly.
+    w^e is byte e B of an integer.  With m' = m/g, k' the inverse of k/g mod
+    m' and c folded into C_t = sum_(u = t mod m') c_u, lambda_k =
+    sum_(e < m') C_(k'e) w^(ge).  Adding g sum_e w^(ge) = g (w^m - 1)/(w^g - 1)
+    changes nothing mod Q, as w^g - 1 is a unit, and puts each C_(k'e) + g in
+    [0, 2g], ceil(bits(2g)/8) <= g B bytes: byte i of every slot is the slice
+    with step k' of the plane bytes(((C + g) >> 8i) & 255) * m', laid g B
+    bytes apart.  While 2g < 256 that is one plane; for g = 1, bytes(c + 1) * m,
+    an m^2-byte buffer, freed like every divisor's before the next is built.
+    For even m, w^(m/2) = -1 mod Q (w^m = 1, and w^(m/2) - 1 is a unit), so
+    the upper half of that integer is subtracted from the lower half first.
     """
     m = len(vec)
     width = (w.bit_length() - 1) // 8       # B
@@ -407,23 +409,21 @@ def _fourier_values(vec: list[int], q: int, w: int) -> Iterator[int]:
         if m % g:
             continue
         m1 = m // g
-        bins = [sum(vec[t::m1]) for t in range(m1)]
+        bins = [sum(vec[t::m1]) + g for t in range(m1)]
+        planes = [bytes(x >> 8 * i & 255 for x in bins) * m1
+                  for i in range(((2 * g).bit_length() + 7) // 8)]
         units = [k for k in range(1, m1) if math.gcd(k, m1) == 1]
-        if 2 * g < 256:
-            rep = bytes(x + g for x in bins) * m1
-            out = bytearray(m * width)
-            for k in units:
-                inv = pow(k, -1, m1)
-                out[::g * width] = rep[:inv * m1:inv]
-                if m % 2:
-                    yield int.from_bytes(out, "little") % q
-                else:
-                    yield (int.from_bytes(out[:half], "little")
-                           - int.from_bytes(out[half:], "little")) % q
-        else:
-            for k in units:
-                yield sum(x << 8 * width * g * (k * t % m1)
-                          for t, x in enumerate(bins)) % q
+        out = bytearray(m * width)
+        for k in units:
+            inv = pow(k, -1, m1)
+            for i, plane in enumerate(planes):
+                out[i::g * width] = plane[:inv * m1:inv]
+            if m % 2:
+                yield int.from_bytes(out, "little") % q
+            else:
+                yield (int.from_bytes(out[:half], "little")
+                       - int.from_bytes(out[half:], "little")) % q
+        del planes, plane
 
 
 def _signed(r: int, q: int) -> int:
@@ -546,13 +546,16 @@ def carlitz_char_poly(ctx: PrimeCtx) -> IntPoly:
     column 0 deleted.  Every principal (p-1)-minor of xI - A is a cyclic
     shift of that one, and together they sum to chi_A'(x), so
     det(xI - C) = chi_A'(x)/p.  chi_A = prod_k (x - mu_k) over the Fourier
-    values mu_k = sum_s ((-s)/p) w^(ks) of A, summed from the table
-    [w^j mod Q] + [-w^j mod Q] with Q = Phi_p(w) of _fourier_modulus and
-    w = 2^s for the smallest s, not a whole number of bytes: a byte-aligned
-    w would double the width of Q and the cost of the product tree with it.
-    The coefficient of x^(p-1-m) is, up to sign, a sum of C(p-1, m)
-    principal m-minors of C, each at most (p-1)^(m/2) by Hadamard (off the
-    diagonal every entry is +-1), so every coefficient is at most
+    values mu_k = sum_s ((-s)/p) w^(ks) of A, mod Q = Phi_p(w) of
+    _fourier_modulus with w = 2^s for the smallest s: a byte-aligned w would
+    double the width of Q and the cost of the product tree with it.
+    _fourier_values reads them at w^r = 2^lcm(8, s), r = 8/gcd(8, s), which
+    meets its precondition: r | 8 and p is odd, so w^r has order p modulo
+    every prime factor of Q, as w has, and w^r - 1 is a unit.  That only
+    permutes the mu_k, and their product does not depend on the order.  The
+    coefficient of x^(p-1-m) is, up to sign, a sum of C(p-1, m) principal
+    m-minors of C, each at most (p-1)^(m/2) by Hadamard (off the diagonal
+    every entry is +-1), so every coefficient is at most
     sum_m C(p-1, m) (p-1)^(m/2) = (1 + sqrt(p-1))^(p-1) in absolute value,
     and Q exceeds twice that.
     """
@@ -560,14 +563,8 @@ def carlitz_char_poly(ctx: PrimeCtx) -> IntPoly:
     # (1 + sqrt(p-1))^2 <= p + ceil(2 sqrt(p-1)), and isqrt(4m - 1) + 1 = ceil(2 sqrt m)
     sq_bound = 4 * (p + math.isqrt(4 * p - 5) + 1) ** (p - 1)
     q, w = _fourier_modulus(p, sq_bound, 1)
-    powers = [1] * p
-    for j in range(1, p):
-        powers[j] = powers[j - 1] * w % q
-    get = (powers + [q - x for x in powers]).__getitem__
-    # the term of s in mu_k sits in the table at k*s mod p, p further on
-    # when ((-s)/p) = -1
-    terms = [(s, 0 if c > 0 else p) for s in range(p) if (c := sym[-s % p])]
-    mus = [sum(map(get, [k * s % p + off for s, off in terms])) % q for k in range(p)]
+    r = 8 // math.gcd(8, w.bit_length() - 1)
+    mus = list(_fourier_values([sym[-s % p] for s in range(p)], q, w**r))
     chi = _poly_from_roots(mus, q)
     inv_p = pow(p, -1, q)
     return IntPoly.make([_signed(k * c * inv_p % q, q) for k, c in enumerate(chi) if k])

@@ -8,11 +8,11 @@ after row 0 is subtracted from the others, x is left in row 0 alone, and the
 two carried rows give both coefficients of the determinant.  The checks take
 the squares-family determinants from the circulant routes in charsums, and
 confirm S(1,p) by eigen-CRT; det_exact is the oracle the tests hold those
-routes to, and the determinant of `legdet det` for the Carlitz and evil
-matrices.  chapman_dets gives the checks and `legdet det` both Chapman
-polynomials of a prime from two Euclidean remainder sequences modulo a
-power of the prime 2^64 + 13, as subresultants; det_affine is the oracle the
-tests hold it to.
+routes to, and the determinant of `legdet det` for the evil matrix; the
+Carlitz determinant comes from charsums.carlitz_char_poly.  chapman_dets
+gives the checks and `legdet det` both Chapman polynomials of a prime from
+two Euclidean remainder sequences modulo a power of the prime 2^64 + 13, as
+subresultants; det_affine is the oracle the tests hold it to.
 det_mod is an independent cross-check oracle over F_q, deliberately sharing
 no code with det_exact.  char_poly evaluates det_exact at dim+1 points and
 interpolates in integers by Newton's forward differences; the checks take

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -277,29 +278,59 @@ def test_packed_values_at_slot_widths_1_2_3():
 
 def test_fourier_values_match_a_power_table():
     # random vectors, so that lambda_k and lambda_(-k) differ: every fold of
-    # S(1,p) is symmetric.  m = 30, 33, 210: slots of 2, 1, 3 bytes; 260 and
-    # 384 = 3 * 128 fold into bins too wide for a byte, 384 also at k/g = 2
-    for m in (1, 2, 30, 33, 210, 260, 384):
+    # S(1,p) is symmetric.  m = 30, 33, 210: slots of 2, 1, 3 bytes; 254 =
+    # 2 * 127 folds into bins of up to 254, the widest one byte holds; 260
+    # and 384 = 3 * 128 fold into bins of two byte planes, 384 also at k/g = 2
+    cases = [(m, 8, 1) for m in (1, 2, 30, 33, 210, 254, 260, 384)]
+    # W = w^r of a 1-bit step, byte-aligned at r = 8/gcd(8, s), as Carlitz
+    # takes it: s = 4, 6, 5 and 3 at m = 15, 45, 21 and 47
+    cases += [(15, 1, 2), (45, 1, 4), (21, 1, 8), (47, 1, 8)]
+    for m, step, r in cases:
         rng = random.Random(m)
         vec = [rng.choice((-1, 0, 1)) for _ in range(m)]
-        q, w = charsums._fourier_modulus(m, 4 * m**m, 8)
+        q, w = charsums._fourier_modulus(m, 4 * m**m, step)
+        assert r == 8 // math.gcd(8, w.bit_length() - 1), m
+        w **= r
         powers = [pow(w, j, q) for j in range(m)]
         order = [0] + sorted(range(1, m), key=lambda k: (math.gcd(k, m), k))
         expected = [sum(c * powers[k * t % m] for t, c in enumerate(vec)) % q for k in order]
         got = list(charsums._fourier_values(vec, q, w))
-        assert got[0] == sum(vec) and got[1:] == expected[1:], m
+        assert got[0] == sum(vec) and got[1:] == expected[1:], (m, r)
 
 
-def test_packed_values_sum_a_wide_fold_directly():
-    # a divisor g >= 128 of n (and of p - 1) folds c into bins of up to 2g,
-    # which a byte does not hold: n = 260 = 2 * 130 and 270 = 2 * 135
-    for p, g in ((521, 130), (541, 135)):
+def test_packed_values_at_and_past_the_byte_switch():
+    # a divisor g of n (and of p - 1) folds c into bins of up to 2g: one byte
+    # plane at n = 254 = 2 * 127, two at n = 260 = 2 * 130, 270 = 2 * 135 and
+    # 384 = 3 * 128; eigen-CRT folds at h = 254 of p - 1 = 508, and at
+    # h = 128, 192, 256 and 384 of 768, into two planes
+    for p, g, planes in ((509, 127, 1), (521, 130, 2), (541, 135, 2), (769, 128, 2)):
         ctx = PrimeCtx.for_prime(p)
-        assert ctx.n % g == 0 and 2 * g >= 256 and ctx.n > g
-        assert det_squares(ctx, 1) == eigen_product(ctx), p
+        assert ctx.n % g == 0 and ctx.n > g and (2 * g >= 256) == (planes == 2)
+        s_val = det_squares(ctx, 1)
+        assert s_val == eigen_product(ctx), p
+        if p in (509, 769):             # corollary-a
+            star = det_squares_star(ctx)
+            assert math.isqrt(-star) ** 2 == -star, p
+            assert star * ctx.decomp.a == -s_val, p
     q = (1 << 61) - 1
     ctx = PrimeCtx.for_prime(521)
     assert det_squares(ctx, 1) % q == det_mod(squares_matrix(ctx, 1), q)
+
+
+def test_fourier_buffers_are_released_between_divisors():
+    # the g = 1 plane is the largest buffer (m^2 bytes); the peak stays near
+    # it only if each divisor's planes are gone before the next are built
+    ctx = PrimeCtx.for_prime(1009)
+    for route, largest in ((lambda: det_squares(ctx, 1), ctx.n**2),
+                           (lambda: eigen_product(ctx), (ctx.p - 1) ** 2)):
+        route()                         # det_squares' modulus is cached from here on
+        tracemalloc.start()
+        try:
+            route()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * largest, (peak, largest)
 
 
 def test_det_squares_of_a_non_residue_builds_no_modulus(monkeypatch):
