@@ -496,22 +496,18 @@ def det_squares_star(ctx: PrimeCtx) -> int:
     det S* = sum_u r_u adj(C)[u][0], where r_u = (j/p) for the j <= n with
     j^2 = x_u = g^(2u).  C = F diag(lambda_k) F^-1 with F = [w^(tk)], hence
     adj(C) = F diag(nu_k) F^-1 with nu_k = prod_(l != k) lambda_l, and
-    det S* = (1/n) sum_k nu_k R_k with R_k = sum_u r_u w^(ku).  The nu_k are
-    taken by prefix and suffix products, so a zero lambda needs no special
-    case.  By Hadamard |det S*| <= n^(n/2), and det_squares' Q exceeds twice
+    det S* = (1/n) sum_k nu_k R_k with R_k = sum_u r_u w^(ku), in one pass
+    over k: acc <- acc lambda_k + prefix R_k, then prefix <- prefix lambda_k.
+    Nothing is divided, so a zero lambda needs no special case.  By Hadamard |det S*| <= n^(n/2), and det_squares' Q exceeds twice
     that.  Exact at every odd prime.
     """
     n, sym = ctx.n, ctx.symbols
     r = [sym[i] for i in _square_roots(ctx)]
     q, w = _fourier_modulus(n, 4 * n**n, 8)
     lams = list(_fourier_values(_squares_coeffs(ctx, 1), q, w))
-    r_hat = list(_fourier_values(r, q, w))        # the same order of k
-    suffix = [1] * (n + 1)              # suffix[k] = prod_(l >= k) lambda_l
-    for k in range(n - 1, -1, -1):
-        suffix[k] = suffix[k + 1] * lams[k] % q
     acc, prefix = 0, 1
-    for lam, nu_tail, r_k in zip(lams, suffix[1:], r_hat):
-        acc += prefix * nu_tail % q * r_k
+    for lam, r_k in zip(lams, _fourier_values(r, q, w)):      # the same order of k
+        acc = (acc * lam + prefix * r_k) % q
         prefix = prefix * lam % q
     return _signed(acc * pow(n, -1, q) % q, q)
 

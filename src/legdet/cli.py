@@ -12,9 +12,8 @@ import json
 import sys
 
 from . import charsums
-from .exactla import chapman_dets, det_exact
+from .exactla import chapman_dets, evil_det
 from .harness import CHECK_IDS, CHECKS, RunConfig, run
-from .matrices import evil_matrix
 from .ntcore import PrimeCtx
 
 
@@ -97,7 +96,7 @@ def _cmd_det(args) -> int:
         # det(xI - C) at x = 0 is det(-C) = det C, since C has even dimension p - 1
         print(charsums.carlitz_char_poly(ctx).coeffs[0])
     elif args.matrix == "evil":
-        print(det_exact(evil_matrix(ctx)))
+        print(evil_det(ctx))
     else:
         print(chapman_dets(ctx)[args.matrix == "chapman-star"])
     return 0
@@ -124,7 +123,7 @@ def main(argv=None) -> int:
         if args.command == "det":
             return _cmd_det(args)
         return _cmd_eigen(args)
-    except (ValueError, ArithmeticError, ChildProcessError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,23 +1,20 @@
 """Exact linear algebra over arbitrary-precision integers.
 
-One fraction-free (Bareiss) elimination, _eliminate, computes every integer
-determinant here: it eliminates dim - 1 rows and carries one or more further
-rows along, so each carried row t yields det [t; rows].  det_exact carries
-row 0 of its matrix.  det_affine carries two rows for a matrix [x + c_ij]:
-after row 0 is subtracted from the others, x is left in row 0 alone, and the
-two carried rows give both coefficients of the determinant.  The checks take
-the squares-family determinants from the circulant routes in charsums, and
-confirm S(1,p) by eigen-CRT; det_exact is the oracle the tests hold those
-routes to, and the determinant of `legdet det` for the evil matrix; the
-Carlitz determinant comes from charsums.carlitz_char_poly.  chapman_dets
-gives the checks and `legdet det` both Chapman polynomials of a prime from
-two Euclidean remainder sequences modulo a power of the prime 2^64 + 13, as
-subresultants; det_affine is the oracle the tests hold it to.
-det_mod is an independent cross-check oracle over F_q, deliberately sharing
-no code with det_exact.  char_poly evaluates det_exact at dim+1 points and
-interpolates in integers by Newton's forward differences; the checks take
-the Carlitz polynomial from charsums.carlitz_char_poly instead, and
-char_poly is the reference the tests compare it with.
+One fraction-free (Bareiss) elimination, _eliminate, eliminates dim - 1 rows
+and carries one or more further rows along, so each carried row t yields
+det [t; rows].  det_exact carries row 0 of its matrix.  det_affine carries
+two rows for a matrix [x + c_ij]: after row 0 is subtracted from the others,
+x is left in row 0 alone, and the two carried rows give both coefficients of
+the determinant.  No legdet command runs them: they are the oracles the tests
+hold the structured routes to.  char_poly evaluates det_exact at dim+1 points
+and interpolates in integers by Newton's forward differences, the reference
+for charsums.carlitz_char_poly.  det_mod is an independent oracle over F_q,
+deliberately sharing no code with det_exact.
+
+One subresultant kernel, _hankel_dets, takes the Hankel determinants of a
+p-periodic sequence from one Euclidean remainder sequence modulo a power of
+the prime 2^64 + 13.  chapman_dets reads both Chapman polynomials off it,
+and evil_det Chapman's evil determinant det [((j-i)/p)].
 """
 
 from __future__ import annotations
@@ -197,44 +194,55 @@ def det_affine(m: AffineMatrix) -> IntPoly:
 
 def chapman_dets(ctx: PrimeCtx) -> tuple[IntPoly, IntPoly]:
     """(det C_n(x), det C*_(n+1)(x)): the determinants of chapman_matrix(ctx)
-    and chapman_matrix(ctx, True), from two Euclidean remainder sequences
-    modulo q = R^k, R = 2^64 + 13.
-
-    The entries x + ((k+1)/p) of the Hankel matrices C_N are p-periodic in k,
-    so their generating function is G_x(z)/(z^p - 1), with
-    G_x(z) = sum_(k<p) (x + ((k+1)/p)) z^(p-1-k), and
-    det C_N(x) = (-1)^(N(N-1)/2) sres_(p-N)(z^p - 1, G_x) (von zur Gathen and
-    Gerhard, Modern Computer Algebra, ch. 6 and 11).  One remainder sequence
-    passes through both indices p - n and p - n - 1, and det C_N is affine in
-    x, so the sequences at x = 0 and x = 1 give both polynomials.
-
-    Every entry at x = 0 or 1 is at most 2 in absolute value, so by Hadamard
-    all four determinants are at most (4N)^(N/2) with N = n + 1; k is the
-    least with 2^(128k) > 4 (4N)^N, so q^2 exceeds it.  R is prime, so a
-    residue mod q is a unit exactly when R does not divide it.  The sequences
-    divide only by units (a leading coefficient that is not one raises
-    ArithmeticError), so the residues are the subresultants mod q, although q
-    is not prime for k > 1.
-    """
+    and chapman_matrix(ctx, True).  C_N(x) is the Hankel matrix of
+    h_k = x + ((k+1)/p), whose h_0 = x + 1 is not 0 at x = 0 or 1, and
+    det C_N is affine in x, so _hankel_dets at x = 0 and 1 gives both."""
     p, n, sym = ctx.p, ctx.n, ctx.symbols
-    sq_bound = 4 * (4 * (n + 1)) ** (n + 1)
+    (c0, s0), (c1, s1) = (_hankel_dets([x + sym[(k + 1) % p] for k in range(p)], (n, n + 1))
+                          for x in (0, 1))
+    return IntPoly.make((c0, c1 - c0)), IntPoly.make((s0, s1 - s0))
+
+
+def evil_det(ctx: PrimeCtx) -> int:
+    """det evil_matrix(ctx) = det [((j-i)/p)]_(i,j=1..n+1).  Its N = n + 1 rows
+    reversed give the Hankel matrix of h_k = ((k-n)/p), h_0 != 0, and
+    multiply the determinant by (-1)^(N(N-1)/2)."""
+    p, n, sym = ctx.p, ctx.n, ctx.symbols
+    [det] = _hankel_dets([sym[(k - n) % p] for k in range(p)], (n + 1,))
+    return -det if (n + 1) * n // 2 % 2 else det
+
+
+def _hankel_dets(h: list[int], dims: tuple[int, ...]) -> list[int]:
+    """det [h_(i+j)]_(i,j<N) for each N < p in dims, for the p-periodic
+    sequence of period h, h_0 != 0, modulo q = R^k, R = 2^64 + 13.
+
+    The generating function of h is G(z)/(z^p - 1), with
+    G(z) = sum_(k<p) h_k z^(p-1-k), and
+    det [h_(i+j)]_(i,j<N) = (-1)^(N(N-1)/2) sres_(p-N)(z^p - 1, G) (von zur
+    Gathen and Gerhard, Modern Computer Algebra, ch. 6 and 11).  One
+    remainder sequence, down to degree p - max(dims), passes every p - N.
+
+    By Hadamard each determinant is at most (M^2 N)^(N/2), M = max |h_k|; k
+    is the least with 2^(128k) > 4 (M^2 N)^N for the largest N, so q^2
+    exceeds it.  R is prime, so a residue mod q is a unit exactly when R
+    does not divide it.  The sequence divides only by units (a leading
+    coefficient that is not one raises ArithmeticError), so the residues are
+    the subresultants mod q, although q is not prime for k > 1.
+    """
+    p, top = len(h), max(dims)
+    sq_bound = 4 * (max(map(abs, h)) ** 2 * top) ** top
     q = _chapman_modulus(-(-sq_bound.bit_length() // 128))
     if q * q <= sq_bound:
         raise ArithmeticError(f"Chapman modulus {q} is too small for p = {p}")
-    at = []                                     # [det C, det C*] at x = 0, 1
-    for x in (0, 1):
-        degs, leads = _remainder_sequence(
-            [1] + [0] * (p - 1) + [q - 1],
-            [(x + sym[(k + 1) % p]) % q for k in range(p)], q, n)
-        dets = []
-        for dim in (n, n + 1):
-            r = _subresultant(degs, leads, p - dim, q)
-            if dim * (dim - 1) // 2 % 2:
-                r = -r % q
-            dets.append(r if 2 * r < q else r - q)
-        at.append(dets)
-    (c0, s0), (c1, s1) = at
-    return IntPoly.make((c0, c1 - c0)), IntPoly.make((s0, s1 - s0))
+    degs, leads = _remainder_sequence([1] + [0] * (p - 1) + [q - 1],
+                                      [c % q for c in h], q, p - top)
+    dets = []
+    for dim in dims:
+        r = _subresultant(degs, leads, p - dim, q)
+        if dim * (dim - 1) // 2 % 2:
+            r = -r % q
+        dets.append(r if 2 * r < q else r - q)
+    return dets
 
 
 def _chapman_modulus(k: int) -> int:

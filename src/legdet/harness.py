@@ -19,7 +19,6 @@ import hashlib
 import json
 import os
 import random
-import struct
 import sys
 import threading
 from collections.abc import Callable
@@ -575,25 +574,23 @@ def _run_job(job) -> list[list[CheckResult]]:
     return [run_check(check_id, p, opts) for check_id in check_ids]
 
 
-_INDEX = struct.Struct("<I")      # a job index, parent to worker
-_LENGTH = struct.Struct("<Q")     # the length of a pickled reply, worker to parent
-
-
-def _serve_jobs(jobs: list, task_r: int, result_w: int) -> None:
-    """A forked worker's loop: run each job whose index arrives on task_r and
-    write back the length-prefixed pickle of (True, results), or of (False,
-    exception), until the parent closes task_r.  An interrupt ends the loop."""
+def _serve_jobs(jobs: list, tasks, replies) -> None:
+    """A forked worker's loop: run each job whose pickled index arrives on
+    tasks and pickle back (True, results), or (False, exception), to replies,
+    until the parent closes its end of tasks.  An interrupt ends the loop."""
     import pickle
 
-    while msg := os.read(task_r, _INDEX.size):      # one index, or end of file
+    while True:
         try:
-            reply = (True, _run_job(jobs[_INDEX.unpack(msg)[0]]))
+            idx = pickle.load(tasks)
+        except EOFError:
+            return
+        try:
+            reply = (True, _run_job(jobs[idx]))
         except Exception as exc:
             reply = (False, exc)
-        frame = pickle.dumps(reply, pickle.HIGHEST_PROTOCOL)
-        view = memoryview(_LENGTH.pack(len(frame)) + frame)
-        while view:
-            view = view[os.write(result_w, view):]
+        pickle.dump(reply, replies, pickle.HIGHEST_PROTOCOL)
+        replies.flush()
 
 
 def _fork_jobs(jobs: list, workers: int):
@@ -601,11 +598,11 @@ def _fork_jobs(jobs: list, workers: int):
     each job finishes.
 
     The parent hands each worker one job index at a time over that worker's
-    own pipe, in the order of jobs, and the next one when the result is back.
-    A worker leaves only by os._exit, so it never flushes the parent's
-    buffered output or runs its exit handlers.  An exception raised by a job
-    is re-raised here, and a worker that dies raises ChildProcessError, once
-    every worker has been killed and reaped.
+    own pipe, in the order of jobs, and the next one when the result is back;
+    pickle frames both.  A worker leaves only by os._exit, so it never
+    flushes the parent's buffered output or runs its exit handlers.  An
+    exception raised by a job is re-raised here, and a worker that dies
+    raises ChildProcessError, once every worker has been killed and reaped.
     """
     import pickle
     import select
@@ -613,59 +610,55 @@ def _fork_jobs(jobs: list, workers: int):
 
     todo = iter(range(len(jobs)))
     pids: list[int] = []
-    open_fds: set[int] = set()                  # pipe ends the parent holds
-    # result fd -> (task fd, pid, job index, the reply's bytes read so far)
-    busy: dict[int, tuple[int, int, int, bytearray]] = {}
+    files: list = []                            # every pipe end, as a file
+    busy: dict = {}                             # reply file -> (task file, pid, job index)
 
-    def hand_out(task_w: int, result_r: int, pid: int) -> None:
+    def hand_out(tasks, replies, pid: int) -> None:
         idx = next(todo, None)
         if idx is None:                          # end of file: the worker exits
-            busy.pop(result_r, None)
-            os.close(task_w)
-            open_fds.discard(task_w)
+            busy.pop(replies, None)
+            tasks.close()
         else:
-            busy[result_r] = (task_w, pid, idx, bytearray())
-            os.write(task_w, _INDEX.pack(idx))
+            busy[replies] = (tasks, pid, idx)
+            pickle.dump(idx, tasks)
 
     try:
         for _ in range(workers):
-            task_r, task_w = os.pipe()
-            result_r, result_w = os.pipe()
-            open_fds |= {task_r, task_w, result_r, result_w}
+            (task_r, task_w), (reply_r, reply_w) = os.pipe(), os.pipe()
+            # the task end unbuffered: an index is one small write, and a write
+            # to a dead worker leaves nothing that closing would flush again
+            ours = [os.fdopen(task_w, "wb", buffering=0), os.fdopen(reply_r, "rb")]
+            theirs = [os.fdopen(task_r, "rb"), os.fdopen(reply_w, "wb")]
+            files += ours + theirs
             pid = os.fork()
             if pid == 0:
                 code = 1
                 try:
-                    for fd in open_fds - {task_r, result_w}:
-                        os.close(fd)
-                    _serve_jobs(jobs, task_r, result_w)
+                    for f in files[:-2]:        # all but this worker's own ends
+                        f.close()
+                    _serve_jobs(jobs, *theirs)
                     code = 0
                 finally:
                     os._exit(code)
             pids.append(pid)
-            for fd in (task_r, result_w):
-                os.close(fd)
-                open_fds.discard(fd)
-            hand_out(task_w, result_r, pid)
+            for f in theirs:
+                f.close()
+            hand_out(*ours, pid)
         while busy:
-            for fd in select.select(list(busy), [], [])[0]:
-                task_w, pid, idx, data = busy[fd]
-                chunk = os.read(fd, 1 << 16)
-                if not chunk:
+            for replies in select.select(list(busy), [], [])[0]:
+                tasks, pid, idx = busy[replies]
+                try:
+                    ok, value = pickle.load(replies)
+                except (EOFError, pickle.UnpicklingError):
                     raise ChildProcessError(
-                        f"worker {pid} exited during the job of p = {jobs[idx][0]}")
-                data += chunk
-                if (len(data) < _LENGTH.size
-                        or len(data) < _LENGTH.size + _LENGTH.unpack_from(data)[0]):
-                    continue                    # the reply is not complete yet
-                ok, value = pickle.loads(data[_LENGTH.size:])
+                        f"worker {pid} exited during the job of p = {jobs[idx][0]}") from None
                 if not ok:
                     raise value
-                hand_out(task_w, fd, pid)
+                hand_out(tasks, replies, pid)
                 yield idx, value
     finally:
-        for fd in open_fds:
-            os.close(fd)
+        for f in files:
+            f.close()
         for pid in pids:
             if busy:
                 os.kill(pid, signal.SIGKILL)
@@ -706,9 +699,6 @@ def run(config: RunConfig, out=None) -> int:
         for p in applicable_primes(check_id, pmax):
             tasks.append((check_id, p))
 
-    if config.fmt == "csv":
-        out.write("check_id,p,params,status,witness\n")
-
     results_by_task: dict[int, list[CheckResult]] = {}
     pending: dict[int, list[tuple[int, str, str]]] = {}    # p -> (idx, key, check)
     for idx, (check_id, p) in enumerate(tasks):
@@ -737,6 +727,8 @@ def run(config: RunConfig, out=None) -> int:
         for idx, computed in done:
             finish(jobs[idx][0], computed)
 
+    if config.fmt == "csv":
+        out.write("check_id,p,params,status,witness\n")
     counts = {"pass": 0, "fail": 0, "skipped": 0}
     for idx in range(len(tasks)):
         for result in results_by_task[idx]:

@@ -319,18 +319,21 @@ def test_packed_values_at_and_past_the_byte_switch():
 
 def test_fourier_buffers_are_released_between_divisors():
     # the g = 1 plane is the largest buffer (m^2 bytes); the peak stays near
-    # it only if each divisor's planes are gone before the next are built
-    ctx = PrimeCtx.for_prime(1009)
-    for route, largest in ((lambda: det_squares(ctx, 1), ctx.n**2),
-                           (lambda: eigen_product(ctx), (ctx.p - 1) ** 2)):
-        route()                         # det_squares' modulus is cached from here on
+    # it only if each divisor's planes are gone before the next are built.
+    # S*(1,p) also holds its n lambda_k, 2.4 n^2 bytes in all at p = 503;
+    # lists of the R_k and of suffix products beside them reach 3.7 n^2
+    ctx, star = PrimeCtx.for_prime(1009), PrimeCtx.for_prime(503)
+    for route, bound in ((lambda: det_squares(ctx, 1), 1.1 * ctx.n**2),
+                         (lambda: eigen_product(ctx), 1.1 * (ctx.p - 1) ** 2),
+                         (lambda: det_squares_star(star), 3 * star.n**2)):
+        route()                         # the modulus is cached from here on
         tracemalloc.start()
         try:
             route()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.1 * largest, (peak, largest)
+        assert peak <= bound, (peak, bound)
 
 
 def test_det_squares_of_a_non_residue_builds_no_modulus(monkeypatch):

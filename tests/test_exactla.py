@@ -12,8 +12,10 @@ from legdet.exactla import (
     det_affine,
     det_exact,
     det_mod,
+    evil_det,
 )
-from legdet.matrices import AffineMatrix, carlitz_matrix, chapman_matrix, squares_matrix
+from legdet.matrices import (AffineMatrix, carlitz_matrix, chapman_matrix, evil_matrix,
+                             squares_matrix)
 from legdet.ntcore import PrimeCtx
 
 
@@ -198,6 +200,18 @@ def test_chapman_dets_raise_on_a_leading_coefficient_that_is_no_unit(monkeypatch
     for p in (3, 5, 13):
         with pytest.raises(ArithmeticError, match="^leading coefficient [0-9]+ is not a unit mod "):
             chapman_dets(PrimeCtx.for_prime(p))
+
+
+def test_evil_det_matches_bareiss_below_120():
+    for p in oracle_primes(3, 120):
+        ctx = PrimeCtx.for_prime(p)
+        assert evil_det(ctx) == det_exact(evil_matrix(ctx)), p
+
+
+def test_evil_det_matches_det_mod_at_401():
+    q = (1 << 61) - 1
+    ctx = PrimeCtx.for_prime(401)
+    assert evil_det(ctx) % q == det_mod(evil_matrix(ctx), q)
 
 
 def test_char_poly_carlitz_closed_forms():

@@ -393,6 +393,20 @@ def test_cli_exits_2_when_a_worker_dies(monkeypatch, capsys):
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_cli_exits_2_on_an_unusable_cache_path(tmp_path, capsys):
+    # a directory fails when the cache is read, a path under a missing
+    # directory when the first result is stored; both before any output
+    for cache, fmt in ((tmp_path, "text"), (tmp_path / "missing" / "c.jsonl", "csv")):
+        for jobs in ("1", "2"):
+            assert cli_main(["verify", "--what", "jacobsthal", "--pmax", "29", "--format",
+                             fmt, "--jobs", jobs, "--cache", str(cache)]) == 2, (cache, jobs)
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("error: "), (cache, jobs)
+            assert "Traceback" not in captured.err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_run_without_fork_runs_serially(monkeypatch):
     config = RunConfig(checks=("jacobsthal", "corollary-a"), pmax=61, fmt="json")
     serial = io.StringIO()
@@ -666,6 +680,14 @@ def test_cli_det(capsys):
     assert capsys.readouterr().out.strip() == "0"
     assert cli_main(["det", "--matrix", "evil", "--p", "7"]) == 0
     assert capsys.readouterr().out.strip() == "1"
+
+
+def test_no_command_runs_bareiss():
+    # cli reads the evil matrix off the Hankel kernel of chapman_dets
+    from legdet import cli
+
+    assert not hasattr(cli, "det_exact") and not hasattr(cli, "evil_matrix")
+    assert cli.evil_det is exactla.evil_det
 
 
 def test_cli_det_chapman_prints_the_bareiss_polynomial(capsys):
