@@ -15,7 +15,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import functools
-import hashlib
+import importlib.util
 import json
 import os
 import random
@@ -475,13 +475,15 @@ def revalidate(result: CheckResult) -> bool:
 
 
 def code_version() -> str:
-    """Short hash of the package source, part of every cache key."""
-    digest = hashlib.sha256()
+    """Hash of the package source, part of every cache key: the 64-bit
+    importlib.util.source_hash, as 16 hex digits, of each module's name, a
+    NUL byte and its bytes, in sorted order.  It is the same in every process
+    and under every hash seed, and changes with the Python minor version.
+    It is not hashlib's: that would load OpenSSL into every process."""
     pkg = Path(__file__).parent
-    for f in sorted(pkg.glob("*.py")):
-        digest.update(f.name.encode())
-        digest.update(f.read_bytes())
-    return digest.hexdigest()[:12]
+    source = b"".join(f.name.encode() + b"\0" + f.read_bytes()
+                      for f in sorted(pkg.glob("*.py")))
+    return importlib.util.source_hash(source).hex()
 
 
 class ResultCache:
@@ -613,14 +615,20 @@ def _fork_jobs(jobs: list, workers: int):
     files: list = []                            # every pipe end, as a file
     busy: dict = {}                             # reply file -> (task file, pid, job index)
 
-    def hand_out(tasks, replies, pid: int) -> None:
+    def hand_out(tasks, replies, pid: int, last: int | None = None) -> None:
+        """Send the worker its next job index; `last` is the job it returned."""
         idx = next(todo, None)
         if idx is None:                          # end of file: the worker exits
             busy.pop(replies, None)
             tasks.close()
-        else:
-            busy[replies] = (tasks, pid, idx)
+            return
+        busy[replies] = (tasks, pid, idx)
+        try:
             pickle.dump(idx, tasks)
+        except BrokenPipeError:
+            after = ("before its first job" if last is None
+                     else f"after the job of p = {jobs[last][0]}")
+            raise ChildProcessError(f"worker {pid} exited {after}") from None
 
     try:
         for _ in range(workers):
@@ -654,7 +662,7 @@ def _fork_jobs(jobs: list, workers: int):
                         f"worker {pid} exited during the job of p = {jobs[idx][0]}") from None
                 if not ok:
                     raise value
-                hand_out(tasks, replies, pid)
+                hand_out(tasks, replies, pid, idx)
                 yield idx, value
     finally:
         for f in files:

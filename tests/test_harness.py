@@ -5,6 +5,7 @@ import importlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import threading
@@ -290,6 +291,49 @@ def test_cache_distinguishes_parameters(tmp_path):
     assert cache.read_text().count("\n") == 2
 
 
+def test_cache_ignores_a_line_of_another_code_version(tmp_path):
+    # the 12-hex sha256 key that caches written before source_hash carry
+    import hashlib
+
+    pkg = Path(harness.__file__).parent
+    digest = hashlib.sha256()
+    for f in sorted(pkg.glob("*.py")):
+        digest.update(f.name.encode())
+        digest.update(f.read_bytes())
+    forged = [dataclasses.replace(r, status="fail").to_record()
+              for r in run_check("jacobsthal", 13)]
+    cache = tmp_path / "results.jsonl"
+    stale = json.dumps({"version": digest.hexdigest()[:12], "task": "jacobsthal|13|{}",
+                        "results": forged}) + "\n"
+    cache.write_text(stale)
+    config = RunConfig(checks=("jacobsthal",), pmax=13, fmt="json")
+    fresh, cached = io.StringIO(), io.StringIO()
+    assert run(config, fresh) == 0
+    assert run(dataclasses.replace(config, cache_path=str(cache)), cached) == 0
+    assert cached.getvalue() == fresh.getvalue()
+    lines = cache.read_text().splitlines(keepends=True)
+    assert lines[0] == stale and len(lines) == 3       # p = 5 and p = 13 appended
+    assert {json.loads(line)["version"] for line in lines[1:]} == {code_version()}
+
+
+def test_code_version_follows_every_source_byte(tmp_path, monkeypatch):
+    pkg = tmp_path / "legdet"
+    shutil.copytree(Path(harness.__file__).parent, pkg,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    versions = [code_version()]
+    monkeypatch.setattr(harness, "__file__", str(pkg / "harness.py"))
+    assert code_version() == versions[0]
+    module = pkg / "ntcore.py"
+    source = bytearray(module.read_bytes())
+    source[len(source) // 2] ^= 1
+    module.write_bytes(source)
+    versions.append(code_version())
+    (pkg / "empty.py").touch()
+    versions.append(code_version())
+    assert len(set(versions)) == 3
+    assert all(len(v) == 16 and set(v) <= set("0123456789abcdef") for v in versions)
+
+
 def test_cache_covers_empty_result_tasks(tmp_path):
     # d=1 is a residue, so sun-zero yields no results; the task must still cache
     cache = tmp_path / "results.jsonl"
@@ -389,6 +433,33 @@ def test_cli_exits_2_when_a_worker_dies(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.rstrip().endswith("during the job of p = 13")
     assert "Traceback" not in err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _closes_its_task_end(jobs, tasks, replies):
+    """A worker loop that takes one job and closes its task end before it
+    replies, so the parent's next index write finds no reader."""
+    import pickle
+
+    idx = pickle.load(tasks)
+    tasks.close()
+    pickle.dump((True, harness._run_job(jobs[idx])), replies)
+    replies.flush()
+
+
+def test_worker_that_dies_between_jobs_is_named(monkeypatch, capsys):
+    monkeypatch.setattr(harness, "_serve_jobs", _closes_its_task_end)
+    assert threading.active_count() == 1        # so only a forked worker exits
+    with pytest.raises(ChildProcessError, match=r"^worker \d+ exited after the job of p = "):
+        run(RunConfig(checks=("jacobsthal",), pmax=29, jobs=2), io.StringIO())
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert cli_main(["verify", "--what", "jacobsthal", "--pmax", "29",
+                     "--jobs", "2", "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: worker ")
+    assert "after the job of p = " in captured.err and "Traceback" not in captured.err
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -552,9 +623,10 @@ def test_interrupted_run_keeps_finished_primes(tmp_path, monkeypatch):
     assert resumed.getvalue() == fresh.getvalue()
 
 
-def _fresh_interpreter(code: str) -> str:
-    """Standard output of code run by a new Python that imports this legdet."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+def _fresh_interpreter(code: str, **env: str) -> str:
+    """Standard output of code run by a new Python that imports this legdet,
+    with env added to its environment."""
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
         filter(None, [str(Path(legdet.__file__).parent.parent), os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True).stdout
@@ -564,6 +636,25 @@ def test_cli_import_leaves_numpy_and_mpmath_unloaded():
     out = _fresh_interpreter("import sys, legdet.cli; "
                              "print(sorted(m for m in ('numpy', 'mpmath') if m in sys.modules))")
     assert out.strip() == "[]"
+
+
+def test_verify_and_det_leave_openssl_unloaded(tmp_path):
+    # hashlib maps OpenSSL's libcrypto; the cache key must not need it
+    caches = [str(tmp_path / f"jobs{jobs}.jsonl") for jobs in (1, 2)]
+    out = _fresh_interpreter(
+        "import contextlib, io, sys; from legdet.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(['verify', '--pmax', '5', '--format', 'json', '--cache', c,\n"
+        f"                   '--jobs', j]) for c, j in zip({caches!r}, ('1', '2'))]\n"
+        "    codes += [main(['det', '--matrix', m, '--p', '13']) for m in ('s', 'chapman')]\n"
+        "print(*codes, *(m in sys.modules for m in ('hashlib', '_hashlib')))")
+    assert out.split() == ["1", "1", "0", "0", "False", "False"]
+
+
+def test_code_version_is_the_same_under_every_hash_seed():
+    code = "from legdet.harness import code_version; print(code_version())"
+    versions = {_fresh_interpreter(code, PYTHONHASHSEED=seed).strip() for seed in ("0", "12345")}
+    assert versions == {code_version()}
 
 
 def test_exact_eigen_verify_leaves_numpy_unloaded():
