@@ -17,6 +17,7 @@ import csv
 import functools
 import importlib.util
 import json
+import math
 import os
 import random
 import sys
@@ -232,7 +233,16 @@ def _check_lemma_sign(work: PrimeWork, opts: dict) -> list[CheckResult]:
 
 
 def _revalidate_lemma_sign(r: CheckResult) -> bool:
-    return int(r.witness["mismatches"]) == 0
+    """qr_count = (p-1)/2, and at every square d the sign by the rotation
+    structure equals the formula's.  In the coordinates x = g^(2t), x -> dx
+    is rotation by k = dlog(d)/2 on Z/n, of sign (-1)^(n - gcd(n, k))."""
+    w, ctx = r.witness, PrimeCtx.for_prime(r.p)
+    p, n = ctx.p, ctx.n
+    if int(w["qr_count"]) != n or int(w["mismatches"]) != 0:
+        return False
+    return all(
+        (-1 if (n - math.gcd(n, ctx.dlog[d] // 2)) % 2 else 1) == perm_sign_formula(ctx, d)
+        for d in (j * j % p for j in range(1, n + 1)))
 
 
 def _check_eigen(work: PrimeWork, opts: dict) -> list[CheckResult]:
@@ -457,8 +467,12 @@ def applicable_primes(check_id: str, pmax: int) -> list[int]:
 
 
 def run_check(check_id: str, p: int, opts: dict | None = None) -> list[CheckResult]:
-    """Run one check for one prime; pure, deterministic, picklable."""
-    return _check(check_id).worker(prime_work(p), opts or {})
+    """Run one check for one prime; pure, deterministic, picklable.
+    ValueError for a prime outside the check's class mod 4."""
+    check = _check(check_id)
+    if check.cls4 is not None and p % 4 != check.cls4:
+        raise ValueError(f"{check_id} covers primes p = {check.cls4} (mod 4), not p = {p}")
+    return check.worker(prime_work(p), opts or {})
 
 
 def revalidate(result: CheckResult) -> bool:

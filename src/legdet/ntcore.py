@@ -170,23 +170,22 @@ def jacobsthal_sum(ctx: PrimeCtx) -> int:
 
 
 def perm_sign_cycles(ctx: PrimeCtx, d: int) -> int:
-    """Sign of x -> d*x on the quadratic residues, by cycle decomposition."""
-    d %= ctx.p
-    if ctx.legendre(d) != 1:
-        raise ValueError(f"d={d} is not a quadratic residue mod {ctx.p}")
+    """Sign of x -> d*x on the quadratic residues, by cycle decomposition.
+
+    The n residues form a group and d lies in it, so the cycle through x is
+    the coset x<d>: every cycle has length ord(d), and there are n / ord(d)
+    of them.  Walking the one cycle through 1 finds ord(d); the sign is
+    (-1)^(n - n / ord(d)).
+    """
     p = ctx.p
-    visited = bytearray(p)
-    cycles = 0
-    for j in range(1, ctx.n + 1):
-        s = j * j % p
-        if visited[s]:
-            continue
-        cycles += 1
-        x = s
-        while not visited[x]:
-            visited[x] = 1
-            x = x * d % p
-    return -1 if (ctx.n - cycles) % 2 else 1
+    d %= p
+    if ctx.legendre(d) != 1:
+        raise ValueError(f"d={d} is not a quadratic residue mod {p}")
+    order, x = 1, d
+    while x != 1:
+        x = x * d % p
+        order += 1
+    return -1 if (ctx.n - ctx.n // order) % 2 else 1
 
 
 def perm_sign_formula(ctx: PrimeCtx, d: int) -> int:

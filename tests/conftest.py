@@ -2,9 +2,10 @@
 checks through the code `legdet verify --format json` runs.
 
 The oracles deliberately avoid the library's code paths: symbols by Euler's
-criterion on raw pow, determinants by cofactor expansion, primality by trial
-division, unit minimality by the Pell unit of Z[sqrt p], class numbers by the
-Dirichlet sine product in mpmath, eigenvalue identities in Z[zeta_(p-1)], the
+criterion on raw pow, determinants by cofactor expansion, permutation signs by
+inversion counts and by walking every cycle, primality by trial division, unit
+minimality by the Pell unit of Z[sqrt p], class numbers by the Dirichlet sine
+product in mpmath, eigenvalue identities in Z[zeta_(p-1)], the
 row sums of the squares matrix by an n x n numpy product.  They are the
 reference implementations the fast paths are checked against.
 """
@@ -83,6 +84,24 @@ def oracle_perm_sign_inversions(perm: list[int]) -> int:
             if perm[i] > perm[j]:
                 inv += 1
     return -1 if inv % 2 else 1
+
+
+def oracle_perm_sign_cycles(p: int, d: int) -> int:
+    """Sign of x -> d*x on the quadratic residues mod p, for a residue d, by
+    walking every cycle: (-1)^(n - the number of cycles), n = (p-1)/2."""
+    n = (p - 1) // 2
+    visited = bytearray(p)
+    cycles = 0
+    for j in range(1, n + 1):
+        s = j * j % p
+        if visited[s]:
+            continue
+        cycles += 1
+        x = s
+        while not visited[x]:
+            visited[x] = 1
+            x = x * d % p
+    return -1 if (n - cycles) % 2 else 1
 
 
 def oracle_pell_unit(p: int) -> tuple[int, int]:

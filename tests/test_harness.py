@@ -227,6 +227,29 @@ def test_revalidate_row_identity_recomputes_rows_1_and_n(monkeypatch):
     assert not revalidate(r)            # a = 5 does not fit the forged decomposition
 
 
+def test_revalidate_lemma_sign_checks_qr_count_and_every_sign(monkeypatch):
+    [r] = run_check("lemma-sign", 29)
+    assert r.status == "pass" and revalidate(r)
+    assert not revalidate(CheckResult(r.check_id, 29, None, r.status,
+                                      dict(r.witness, qr_count="7")))
+    # a formula that is wrong at one square d is caught by the rotation sign
+    real = harness.perm_sign_formula
+    monkeypatch.setattr(harness, "perm_sign_formula",
+                        lambda ctx, d: -real(ctx, d) if d % ctx.p == 7 else real(ctx, d))
+    assert not revalidate(r)
+
+
+def test_run_check_rejects_a_prime_outside_the_class():
+    for check_id in CHECK_IDS:
+        cls4 = harness.CHECKS[check_id].cls4
+        if cls4 is None:
+            assert run_check(check_id, 7) and run_check(check_id, 13), check_id
+            continue
+        p = 7 if cls4 == 1 else 13
+        with pytest.raises(ValueError, match=f"{check_id} covers primes p = {cls4} "):
+            run_check(check_id, p)
+
+
 def test_run_exit_codes_and_text_output():
     out = io.StringIO()
     config = RunConfig(checks=("corollary-a",), pmax=17, fmt="text")

@@ -11,6 +11,7 @@ import legdet
 from conftest import (
     oracle_is_prime,
     oracle_legendre,
+    oracle_perm_sign_cycles,
     oracle_perm_sign_inversions,
     oracle_primes,
     oracle_qr_set,
@@ -162,13 +163,21 @@ def test_perm_sign_examples():
 
 
 def test_perm_sign_matches_inversion_count():
-    for p in (13, 17, 29):
+    for p in (13, 17, 23, 29):
         ctx = PrimeCtx.for_prime(p)
         qrs = sorted(oracle_qr_set(p))
         index = {x: i for i, x in enumerate(qrs)}
         for d in qrs:
             perm = [index[d * x % p] for x in qrs]
             assert perm_sign_cycles(ctx, d) == oracle_perm_sign_inversions(perm)
+
+
+def test_perm_sign_cycles_matches_the_walk_over_every_cycle():
+    # one cycle's length gives them all, in both classes mod 4
+    for p in oracle_primes(3, 400):
+        ctx = PrimeCtx.for_prime(p)
+        for d in sorted(oracle_qr_set(p)):
+            assert perm_sign_cycles(ctx, d) == oracle_perm_sign_cycles(p, d), (p, d)
 
 
 def test_perm_sign_cycles_equals_formula():
