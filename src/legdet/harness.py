@@ -6,7 +6,8 @@ ceiling, its worker and its re-validator.  A worker is a pure function of
 (PrimeWork, options) that produces CheckResult records whose witnesses are
 decimal strings; the re-validator re-checks them by independent scalar
 arithmetic.  The checks of one prime share its PrimeWork, so run() hands out
-one job per prime, to forked worker processes with --jobs; results are always
+one job per prime; with --jobs it forks worker processes for the jobs left
+once the run has shown that they can pay for the fork.  Results are always
 emitted in deterministic order.
 """
 
@@ -22,6 +23,7 @@ import os
 import random
 import sys
 import threading
+import time
 from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
@@ -584,6 +586,23 @@ def _task_key(check_id: str, p: int, opts: dict) -> str:
     return f"{check_id}|{p}|{json.dumps(rel, sort_keys=True)}"
 
 
+# What forking --jobs workers costs a run, in wall time: the least work done,
+# and the least work left, for which run() forks.  A --jobs 2 CLI run of
+# almost no work took 7-27 ms longer than the same run serial, on a 2-vCPU
+# Intel Xeon with CPython 3.11: the workers write the refcounts of objects
+# they share with the parent, so each copies about 7 MB of its pages
+# (3,200-3,550 more minor faults for two workers) and the run takes 2-12 ms
+# more system time.
+FORK_COST_S = 0.03
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _run_job(job) -> list[list[CheckResult]]:
     """Every task of one prime, in order, sharing the prime's PrimeWork."""
     p, check_ids, opts = job
@@ -687,6 +706,24 @@ def _fork_jobs(jobs: list, workers: int):
             os.waitpid(pid, 0)
 
 
+def _run_jobs(jobs: list, workers: int):
+    """Run the jobs in order in this process and yield (index, results) for
+    each, until the run has spent FORK_COST_S and the jobs left, at the mean
+    cost of the jobs run so far, would take FORK_COST_S more; then run the
+    rest on min(workers, jobs left) forked workers, when that is more than one.
+    So a run shorter than a fork never forks."""
+    start = time.perf_counter()
+    for idx, job in enumerate(jobs):
+        spent, left = time.perf_counter() - start, len(jobs) - idx
+        forks = min(workers, left)
+        if forks > 1 and spent >= FORK_COST_S and spent * left >= FORK_COST_S * idx:
+            with contextlib.closing(_fork_jobs(jobs[idx:], forks)) as forked:
+                for done, results in forked:
+                    yield idx + done, results
+            return
+        yield idx, _run_job(job)
+
+
 def _emit(result: CheckResult, fmt: str, out) -> None:
     if fmt == "json":
         out.write(result.to_json() + "\n")
@@ -716,7 +753,7 @@ def run(config: RunConfig, out=None) -> int:
     cache = ResultCache(config.cache_path) if config.cache_path else None
     opts = {"d_list": config.d_list, "full_sweep": config.full_d_sweep}
     tasks = []
-    for check_id in config.checks:
+    for check_id in dict.fromkeys(config.checks):       # each check once
         pmax = config.pmax if config.pmax is not None else default_pmax(check_id)
         for p in applicable_primes(check_id, pmax):
             tasks.append((check_id, p))
@@ -739,12 +776,10 @@ def run(config: RunConfig, out=None) -> int:
 
     # one job per prime, largest first: its checks share one PrimeWork
     jobs = [(p, [c for _, _, c in pending[p]], opts) for p in sorted(pending, reverse=True)]
-    workers = min(config.jobs, len(jobs))    # fork no worker that would get no job
-    # fork where it exists (not on Windows) and is safe: no other thread runs
-    if workers > 1 and hasattr(os, "fork") and threading.active_count() == 1:
-        done = _fork_jobs(jobs, workers)
-    else:
-        done = ((idx, _run_job(job)) for idx, job in enumerate(jobs))
+    # fork where it exists (not on Windows) and is safe: no other thread runs;
+    # and no more workers than there are CPUs to run them
+    can_fork = hasattr(os, "fork") and threading.active_count() == 1
+    done = _run_jobs(jobs, min(config.jobs, _cpu_count()) if can_fork else 1)
     with contextlib.closing(done):
         for idx, computed in done:
             finish(jobs[idx][0], computed)

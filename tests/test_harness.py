@@ -1,14 +1,17 @@
 import ast
 import csv
 import dataclasses
+import functools
 import importlib
 import io
+import itertools
 import json
 import os
 import shutil
 import subprocess
 import sys
 import threading
+import types
 from pathlib import Path
 
 import pytest
@@ -375,6 +378,16 @@ def test_cache_covers_empty_result_tasks(tmp_path):
 DET_CHECKS = ("theorem-a", "corollary-a", "conjecture-a", "product", "sun-zero", "sun-qr")
 
 
+@pytest.fixture
+def fork_at_once(monkeypatch):
+    """FORK_COST_S = 0 and 64 CPUs: a --jobs run forks before its first job,
+    however little work it has and on a machine of any size, so the test
+    exercises the forked workers."""
+    monkeypatch.setattr(harness, "FORK_COST_S", 0)
+    monkeypatch.setattr(harness, "_cpu_count", lambda: 64)
+
+
+@pytest.mark.usefixtures("fork_at_once")
 def test_parallel_matches_serial():
     serial, parallel = io.StringIO(), io.StringIO()
     d_list = [1, 2, 3, 5, -1, 7, 10]
@@ -384,6 +397,7 @@ def test_parallel_matches_serial():
     assert "sun-zero" in serial.getvalue() and "sun-qr" in serial.getvalue()
 
 
+@pytest.mark.usefixtures("fork_at_once")
 def test_run_starts_no_more_workers_than_primes(monkeypatch):
     forks = _counting(monkeypatch, os, "fork")
     serial, forked = io.StringIO(), io.StringIO()
@@ -398,6 +412,101 @@ def test_run_starts_no_more_workers_than_primes(monkeypatch):
     assert forked.getvalue() == serial.getvalue()
 
 
+def _forks_in_process(monkeypatch):
+    """Replace harness._fork_jobs by a run of its jobs in this process that
+    records how many jobs and workers it was given; return the record."""
+    calls = []
+
+    def fork_jobs(jobs, workers):
+        calls.append((len(jobs), workers))
+        return ((idx, harness._run_job(job)) for idx, job in enumerate(jobs))
+
+    monkeypatch.setattr(harness, "_fork_jobs", fork_jobs)
+    return calls
+
+
+def test_run_starts_no_more_workers_than_cpus(monkeypatch):
+    config = RunConfig(checks=("jacobsthal",), pmax=61, fmt="json")    # eight primes
+    serial, capped = io.StringIO(), io.StringIO()
+    run(config, serial)
+    monkeypatch.setattr(harness, "FORK_COST_S", 0)
+    monkeypatch.setattr(harness, "_cpu_count", lambda: 3)
+    calls = _forks_in_process(monkeypatch)
+    config.jobs = 5000
+    run(config, capped)
+    assert calls == [(8, 3)]
+    assert capped.getvalue() == serial.getvalue()
+
+
+def test_cpu_count_reads_the_affinity_mask_where_there_is_one(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert harness._cpu_count() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert harness._cpu_count() == 5
+    monkeypatch.setattr(os, "cpu_count", lambda: None)    # undetermined
+    assert harness._cpu_count() == 1
+
+
+def test_run_below_the_fork_cost_forks_nothing(monkeypatch):
+    monkeypatch.setattr(harness, "_cpu_count", lambda: 64)
+    forks = _counting(monkeypatch, os, "fork")
+    config = RunConfig(checks=("jacobsthal",), pmax=29, fmt="json")
+    serial, unforked, forked = io.StringIO(), io.StringIO(), io.StringIO()
+    run(config, serial)
+    config.jobs = 2
+    run(config, unforked)
+    assert forks == []
+    monkeypatch.setattr(harness, "FORK_COST_S", 0)        # the same run forks at once
+    run(config, forked)
+    assert len(forks) == 2
+    assert unforked.getvalue() == forked.getvalue() == serial.getvalue()
+
+
+def test_run_forks_once_the_work_done_and_left_each_reach_the_fork_cost(monkeypatch):
+    monkeypatch.setattr(harness, "_cpu_count", lambda: 64)
+    monkeypatch.setattr(harness, "FORK_COST_S", 3)
+    calls = _forks_in_process(monkeypatch)
+
+    def output(config, cost) -> str:
+        # the clock reads 0 at the start and k * cost before job k
+        clock = itertools.chain([0], itertools.count(0, cost))
+        monkeypatch.setattr(harness, "time", types.SimpleNamespace(perf_counter=lambda: next(clock)))
+        out = io.StringIO()
+        run(config, out)
+        return out.getvalue()
+
+    for pmax, cost, forked in (
+            (61, 1, [(5, 2)]),    # 8 jobs: before job 3, 3 spent and 5 jobs of 1 left
+            (37, 1, []),          # 5 jobs: before job 3, 3 spent but 2 jobs of 1 left
+            (17, 3, [(2, 2)]),    # 3 jobs: before job 1, 3 spent and 2 jobs of 3 left
+            (13, 3, [])):         # 2 jobs: before job 1, 3 spent but 1 job left
+        config = RunConfig(checks=("jacobsthal",), pmax=pmax, fmt="json")
+        serial = output(config, cost)
+        assert calls == []
+        config.jobs = 2
+        assert output(config, cost) == serial
+        assert calls == forked, pmax
+        calls.clear()
+
+
+def test_error_in_the_serial_phase_is_raised_as_in_a_serial_run(monkeypatch):
+    monkeypatch.setattr(harness, "_cpu_count", lambda: 64)
+    # a PrimeWork of its own, so the faulty eigen product it caches goes with it
+    monkeypatch.setattr(harness, "prime_work", functools.lru_cache(maxsize=1)(PrimeWork))
+    _eigen_crt_off_by_one_at_211(monkeypatch)
+    forks = _counting(monkeypatch, os, "fork")
+    errors = []
+    for jobs in (1, 2):
+        config = RunConfig(checks=("conjecture-a",), pmax=211, fmt="json", jobs=jobs)
+        with pytest.raises(ArithmeticError, match=r"^S\(1,211\)") as info:
+            run(config, io.StringIO())
+        errors.append((type(info.value), str(info.value)))
+    assert errors[0] == errors[1]
+    assert forks == []
+
+
+@pytest.mark.usefixtures("fork_at_once")
 def test_forked_csv_matches_serial(tmp_path):
     # real buffered files: a worker that flushed the inherited buffer on its
     # way out would write the CSV header a second time
@@ -416,6 +525,7 @@ def _eigen_crt_off_by_one_at_211(monkeypatch):
                         lambda ctx: orig(ctx) + (ctx.p == 211))
 
 
+@pytest.mark.usefixtures("fork_at_once")
 def test_forked_job_error_is_raised_after_every_worker_is_reaped(monkeypatch):
     _eigen_crt_off_by_one_at_211(monkeypatch)
     config = RunConfig(checks=("conjecture-a",), pmax=211, fmt="json", jobs=2)
@@ -431,6 +541,7 @@ def _dies_at_13(check_id, p, opts=None):
     return run_check(check_id, p, opts)
 
 
+@pytest.mark.usefixtures("fork_at_once")
 def test_worker_that_dies_raises_child_process_error(monkeypatch):
     monkeypatch.setattr(harness, "run_check", _dies_at_13)
     assert threading.active_count() == 1        # so only a forked worker exits
@@ -440,6 +551,7 @@ def test_worker_that_dies_raises_child_process_error(monkeypatch):
         os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.mark.usefixtures("fork_at_once")
 def test_cli_exits_2_on_a_forked_job_error(monkeypatch, capsys):
     _eigen_crt_off_by_one_at_211(monkeypatch)
     assert cli_main(["verify", "--what", "conjecture-a", "--pmax", "211",
@@ -448,6 +560,7 @@ def test_cli_exits_2_on_a_forked_job_error(monkeypatch, capsys):
     assert captured.out == "" and "S(1,211)" in captured.err
 
 
+@pytest.mark.usefixtures("fork_at_once")
 def test_cli_exits_2_when_a_worker_dies(monkeypatch, capsys):
     monkeypatch.setattr(harness, "run_check", _dies_at_13)
     assert threading.active_count() == 1        # so only a forked worker exits
@@ -471,6 +584,7 @@ def _closes_its_task_end(jobs, tasks, replies):
     replies.flush()
 
 
+@pytest.mark.usefixtures("fork_at_once")
 def test_worker_that_dies_between_jobs_is_named(monkeypatch, capsys):
     monkeypatch.setattr(harness, "_serve_jobs", _closes_its_task_end)
     assert threading.active_count() == 1        # so only a forked worker exits
@@ -487,6 +601,7 @@ def test_worker_that_dies_between_jobs_is_named(monkeypatch, capsys):
         os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.mark.usefixtures("fork_at_once")
 def test_cli_exits_2_on_an_unusable_cache_path(tmp_path, capsys):
     # a directory fails when the cache is read, a path under a missing
     # directory when the first result is stored; both before any output
@@ -501,6 +616,7 @@ def test_cli_exits_2_on_an_unusable_cache_path(tmp_path, capsys):
         os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.mark.usefixtures("fork_at_once")
 def test_run_without_fork_runs_serially(monkeypatch):
     config = RunConfig(checks=("jacobsthal", "corollary-a"), pmax=61, fmt="json")
     serial = io.StringIO()
@@ -512,6 +628,7 @@ def test_run_without_fork_runs_serially(monkeypatch):
     assert unforked.getvalue() == serial.getvalue()
 
 
+@pytest.mark.usefixtures("fork_at_once")
 def test_run_beside_another_thread_runs_serially(monkeypatch):
     forks = _counting(monkeypatch, os, "fork")
     config = RunConfig(checks=("jacobsthal", "corollary-a"), pmax=61, fmt="json")
@@ -665,7 +782,8 @@ def test_verify_and_det_leave_openssl_unloaded(tmp_path):
     # hashlib maps OpenSSL's libcrypto; the cache key must not need it
     caches = [str(tmp_path / f"jobs{jobs}.jsonl") for jobs in (1, 2)]
     out = _fresh_interpreter(
-        "import contextlib, io, sys; from legdet.cli import main\n"
+        "import contextlib, io, sys; from legdet import harness; from legdet.cli import main\n"
+        "harness.FORK_COST_S, harness._cpu_count = 0, lambda: 2    # --jobs 2 forks\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [main(['verify', '--pmax', '5', '--format', 'json', '--cache', c,\n"
         f"                   '--jobs', j]) for c, j in zip({caches!r}, ('1', '2'))]\n"
@@ -852,6 +970,20 @@ def test_cli_reports_contract_violations(capsys):
     assert "error:" in capsys.readouterr().err
     assert cli_main(["det", "--matrix", "s", "--p", "15"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_verify_runs_a_repeated_check_once(tmp_path, capsys):
+    args = ["verify", "--pmax", "13", "--format", "json"]        # primes 5 and 13
+    for what, repeated in (("jacobsthal", "jacobsthal,jacobsthal"),
+                           ("jacobsthal,corollary-a", "jacobsthal,corollary-a,jacobsthal")):
+        assert cli_main(args + ["--what", what]) == 0
+        once = capsys.readouterr().out
+        tasks = 2 * len(what.split(","))
+        assert once.endswith(f"# checks run: {tasks}  passed: {tasks}  failed: 0  skipped: 0\n")
+        cache = tmp_path / f"{repeated}.jsonl"
+        assert cli_main(args + ["--what", repeated, "--cache", str(cache)]) == 0
+        assert capsys.readouterr().out == once
+        assert len(cache.read_text().splitlines()) == tasks
 
 
 def test_cli_verify_with_cache(tmp_path, capsys):
