@@ -38,8 +38,12 @@ def _parse_args(argv):
     v.add_argument("--pmax", type=int, default=None, help=_pmax_help())
     v.add_argument("--d", default=None,
                    help="comma-separated d values for the d-indexed checks")
-    v.add_argument("--jobs", type=int, default=1)
-    v.add_argument("--format", choices=("json", "csv", "text"), default="text")
+    v.add_argument("--jobs", type=int, default=1, metavar="K",
+                   help="fork at most K worker processes, and no more than the "
+                        "usable CPUs, once the run can pay for the fork; the "
+                        "output is the same")
+    v.add_argument("--format", choices=("json", "csv", "text"), default="text",
+                   help="output format (default: text)")
     v.add_argument("--cache", default=None, help="JSONL result cache path")
     v.add_argument("--full-d-sweep", action="store_true",
                    help="run every d in 0..p-1 (quadratic blowup)")

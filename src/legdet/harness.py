@@ -6,8 +6,9 @@ ceiling, its worker and its re-validator.  A worker is a pure function of
 (PrimeWork, options) that produces CheckResult records whose witnesses are
 decimal strings; the re-validator re-checks them by independent scalar
 arithmetic.  The checks of one prime share its PrimeWork, so run() hands out
-one job per prime; with --jobs it forks worker processes for the jobs left
-once the run has shown that they can pay for the fork.  Results are always
+one job per prime, largest first; with --jobs it forks worker processes for
+the jobs left once the run has shown that they can pay for the fork, and
+worker w of k runs every k-th of them from the w-th on.  Results are always
 emitted in deterministic order.
 """
 
@@ -506,9 +507,10 @@ class ResultCache:
     """Append-only JSON Lines cache, one line per task, keyed by
     (check_id, p, params, code version).  Stale-version lines are kept but
     ignored on load.  An unparsable last line, as an interrupted write leaves,
-    is skipped with a warning and cut off before the next append; an
-    unparsable line anywhere else raises.  A whole last line that lacks its
-    newline gets one before the next append."""
+    is skipped with a warning and cut off before the next append; any other
+    line that is not an object holding version, task and results raises
+    ValueError.  A whole last line that lacks its newline gets one before the
+    next append."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
@@ -529,13 +531,16 @@ class ResultCache:
                 try:
                     rec = json.loads(line)
                 except ValueError:                  # bad JSON or bad UTF-8
-                    if i != last:
-                        raise
-                    print(f"warning: {self.path}: skipping a torn last line",
-                          file=sys.stderr)
-                    self._torn_at = start
-                    continue
-                if rec.get("version") != self.version:
+                    if i == last:
+                        print(f"warning: {self.path}: skipping a torn last line",
+                              file=sys.stderr)
+                        self._torn_at = start
+                        continue
+                    rec = None
+                # a record cut short does not parse, so this is no torn write
+                if not (isinstance(rec, dict) and {"version", "task", "results"} <= rec.keys()):
+                    raise ValueError(f"{self.path}: line {i + 1} is not a cache record")
+                if rec["version"] != self.version:
                     continue
                 self._records[rec["task"]] = rec["results"]
 
@@ -609,85 +614,65 @@ def _run_job(job) -> list[list[CheckResult]]:
     return [run_check(check_id, p, opts) for check_id in check_ids]
 
 
-def _serve_jobs(jobs: list, tasks, replies) -> None:
-    """A forked worker's loop: run each job whose pickled index arrives on
-    tasks and pickle back (True, results), or (False, exception), to replies,
-    until the parent closes its end of tasks.  An interrupt ends the loop."""
+def _serve_jobs(jobs: list, first: int, step: int, replies) -> None:
+    """A forked worker's loop: run jobs first, first + step, first + 2 step,
+    ... in turn and pickle (True, results) to replies after each; if a job
+    raises, pickle (False, exception) and stop.  An interrupt ends the loop."""
     import pickle
 
-    while True:
+    for job in jobs[first::step]:
         try:
-            idx = pickle.load(tasks)
-        except EOFError:
-            return
-        try:
-            reply = (True, _run_job(jobs[idx]))
+            reply = (True, _run_job(job))
         except Exception as exc:
             reply = (False, exc)
         pickle.dump(reply, replies, pickle.HIGHEST_PROTOCOL)
         replies.flush()
+        if not reply[0]:
+            return
 
 
 def _fork_jobs(jobs: list, workers: int):
     """Run the jobs on `workers` forked processes; yield (index, results) as
     each job finishes.
 
-    The parent hands each worker one job index at a time over that worker's
-    own pipe, in the order of jobs, and the next one when the result is back;
-    pickle frames both.  A worker leaves only by os._exit, so it never
-    flushes the parent's buffered output or runs its exit handlers.  An
-    exception raised by a job is re-raised here, and a worker that dies
-    raises ChildProcessError, once every worker has been killed and reaped.
+    Worker w of k runs jobs w, w + k, w + 2k, ... of the list, in that order,
+    and pickles each result back over its own pipe; the parent knows the
+    index each pipe owes next.  A pipe's buffered reader may take in a later
+    reply with the one it reads; that reply is read at the worker's next
+    write or at its exit, so it can come one job late but never hangs.  A
+    worker leaves only by os._exit, so it never flushes the parent's
+    buffered output or runs its exit handlers.  An exception raised by a job
+    is re-raised here, and a worker that dies raises ChildProcessError, once
+    every worker has been killed and reaped.
     """
     import pickle
     import select
     import signal
 
-    todo = iter(range(len(jobs)))
     pids: list[int] = []
     files: list = []                            # every pipe end, as a file
-    busy: dict = {}                             # reply file -> (task file, pid, job index)
-
-    def hand_out(tasks, replies, pid: int, last: int | None = None) -> None:
-        """Send the worker its next job index; `last` is the job it returned."""
-        idx = next(todo, None)
-        if idx is None:                          # end of file: the worker exits
-            busy.pop(replies, None)
-            tasks.close()
-            return
-        busy[replies] = (tasks, pid, idx)
-        try:
-            pickle.dump(idx, tasks)
-        except BrokenPipeError:
-            after = ("before its first job" if last is None
-                     else f"after the job of p = {jobs[last][0]}")
-            raise ChildProcessError(f"worker {pid} exited {after}") from None
-
+    owed: dict = {}                             # reply file -> (pid, index it owes next)
     try:
-        for _ in range(workers):
-            (task_r, task_w), (reply_r, reply_w) = os.pipe(), os.pipe()
-            # the task end unbuffered: an index is one small write, and a write
-            # to a dead worker leaves nothing that closing would flush again
-            ours = [os.fdopen(task_w, "wb", buffering=0), os.fdopen(reply_r, "rb")]
-            theirs = [os.fdopen(task_r, "rb"), os.fdopen(reply_w, "wb")]
-            files += ours + theirs
+        for first in range(workers):
+            reply_r, reply_w = os.pipe()
+            ours, theirs = os.fdopen(reply_r, "rb"), os.fdopen(reply_w, "wb")
+            files += [ours, theirs]
             pid = os.fork()
             if pid == 0:
                 code = 1
                 try:
-                    for f in files[:-2]:        # all but this worker's own ends
+                    for f in files[:-1]:        # all but this worker's own end
                         f.close()
-                    _serve_jobs(jobs, *theirs)
+                    _serve_jobs(jobs, first, workers, theirs)
                     code = 0
                 finally:
                     os._exit(code)
             pids.append(pid)
-            for f in theirs:
-                f.close()
-            hand_out(*ours, pid)
-        while busy:
-            for replies in select.select(list(busy), [], [])[0]:
-                tasks, pid, idx = busy[replies]
+            theirs.close()
+            owed[ours] = (pid, first)
+        while owed:
+            for replies in select.select(list(owed), [], [])[0]:
+                pid, idx = owed.pop(replies)
                 try:
                     ok, value = pickle.load(replies)
                 except (EOFError, pickle.UnpicklingError):
@@ -695,14 +680,14 @@ def _fork_jobs(jobs: list, workers: int):
                         f"worker {pid} exited during the job of p = {jobs[idx][0]}") from None
                 if not ok:
                     raise value
-                hand_out(tasks, replies, pid, idx)
+                if idx + workers < len(jobs):
+                    owed[replies] = (pid, idx + workers)
                 yield idx, value
     finally:
         for f in files:
             f.close()
-        for pid in pids:
-            if busy:
-                os.kill(pid, signal.SIGKILL)
+        for pid in pids:                        # a worker that has exited ignores the kill
+            os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
 
 

@@ -1,9 +1,8 @@
-import ast
 import csv
 import dataclasses
 import functools
-import importlib
 import io
+import re
 import itertools
 import json
 import os
@@ -438,6 +437,30 @@ def test_run_starts_no_more_workers_than_cpus(monkeypatch):
     assert capped.getvalue() == serial.getvalue()
 
 
+@pytest.mark.usefixtures("fork_at_once")
+def test_workers_run_fixed_strides_largest_first(tmp_path, monkeypatch):
+    config = RunConfig(checks=("jacobsthal",), pmax=61, fmt="json")    # eight primes
+    serial, forked = io.StringIO(), io.StringIO()
+    run(config, serial)
+    log = tmp_path / "jobs.log"
+
+    def logged(check_id, p, opts=None):
+        with log.open("a") as fh:
+            fh.write(f"{os.getpid()} {p}\n")
+        return run_check(check_id, p, opts)
+
+    monkeypatch.setattr(harness, "run_check", logged)
+    config.jobs = 2
+    run(config, forked)
+    by_pid: dict[int, list[int]] = {}
+    for line in log.read_text().splitlines():
+        pid, p = map(int, line.split())
+        by_pid.setdefault(pid, []).append(p)
+    assert os.getpid() not in by_pid
+    assert sorted(by_pid.values()) == [[53, 37, 17, 5], [61, 41, 29, 13]]
+    assert forked.getvalue() == serial.getvalue()
+
+
 def test_cpu_count_reads_the_affinity_mask_where_there_is_one(monkeypatch):
     if hasattr(os, "sched_getaffinity"):
         assert harness._cpu_count() == len(os.sched_getaffinity(0))
@@ -573,34 +596,6 @@ def test_cli_exits_2_when_a_worker_dies(monkeypatch, capsys):
         os.waitpid(-1, os.WNOHANG)
 
 
-def _closes_its_task_end(jobs, tasks, replies):
-    """A worker loop that takes one job and closes its task end before it
-    replies, so the parent's next index write finds no reader."""
-    import pickle
-
-    idx = pickle.load(tasks)
-    tasks.close()
-    pickle.dump((True, harness._run_job(jobs[idx])), replies)
-    replies.flush()
-
-
-@pytest.mark.usefixtures("fork_at_once")
-def test_worker_that_dies_between_jobs_is_named(monkeypatch, capsys):
-    monkeypatch.setattr(harness, "_serve_jobs", _closes_its_task_end)
-    assert threading.active_count() == 1        # so only a forked worker exits
-    with pytest.raises(ChildProcessError, match=r"^worker \d+ exited after the job of p = "):
-        run(RunConfig(checks=("jacobsthal",), pmax=29, jobs=2), io.StringIO())
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    assert cli_main(["verify", "--what", "jacobsthal", "--pmax", "29",
-                     "--jobs", "2", "--format", "json"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith("error: worker ")
-    assert "after the job of p = " in captured.err and "Traceback" not in captured.err
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 @pytest.mark.usefixtures("fork_at_once")
 def test_cli_exits_2_on_an_unusable_cache_path(tmp_path, capsys):
     # a directory fails when the cache is read, a path under a missing
@@ -707,6 +702,22 @@ def test_cache_skips_a_torn_last_line(tmp_path, capsys):
         json.loads(line)
     cache.write_text(first[:10] + "\n" + second + "\n")    # not the last line
     assert cli_main(args + ["--cache", str(cache)]) == 2
+
+
+def test_cache_rejects_a_line_that_is_not_a_record(tmp_path, capsys):
+    cache = tmp_path / "c.jsonl"
+    args = ["verify", "--what", "jacobsthal", "--pmax", "13", "--cache", str(cache)]
+    assert cli_main(args) == 0
+    capsys.readouterr()
+    record = cache.read_text().splitlines()[0]
+    # JSON that parses, so no torn write, whether it is the last line or not
+    for bad in ("7", "[1,2]", "null", json.dumps({"version": code_version()})):
+        for lines, lineno in (([bad], 1), ([record, bad, record], 2)):
+            cache.write_text("\n".join(lines) + "\n")
+            assert cli_main(args) == 2, (bad, lineno)
+            captured = capsys.readouterr()
+            assert captured.out == "", (bad, lineno)
+            assert captured.err == f"error: {cache}: line {lineno} is not a cache record\n"
 
 
 def test_cache_ends_a_last_line_that_lacks_its_newline(tmp_path, capsys):
@@ -878,19 +889,10 @@ def test_s1_routes_that_disagree_raise(monkeypatch):
         PrimeWork(211).det(1)
 
 
-def test_public_and_traced_names_resolve():
-    # perfbench/tracer.py looks each traced function up by name; read, not import
+def test_public_names_resolve():
+    # test_tracer_names.py checks the names perfbench/tracer.py looks up
     for name in legdet.__all__:
         assert hasattr(legdet, name), name
-    tracer = Path(__file__).parent.parent / "perfbench" / "tracer.py"
-    traced = next(ast.literal_eval(node.value) for node in ast.parse(tracer.read_text()).body
-                  if isinstance(node, ast.Assign)
-                  and getattr(node.targets[0], "id", None) == "TRACED_FUNCTIONS")
-    assert traced
-    for mod_name, names in traced.items():
-        mod = importlib.import_module(f"legdet.{mod_name}")
-        for name in names:
-            assert callable(getattr(mod, name, None)), f"{mod_name}.{name}"
 
 
 def test_cli_det(capsys):
@@ -958,6 +960,15 @@ def test_cli_verify(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert sum(1 for l in out.splitlines() if not l.startswith("#")) == 6
+
+
+def test_cli_verify_help_describes_every_option(capsys):
+    with pytest.raises(SystemExit):
+        cli_main(["verify", "--help"])
+    options = capsys.readouterr().out.split("options:\n")[1]
+    for entry in re.split(r"\n(?=  -)", options.strip("\n")):
+        invocation, _, description = entry.strip().partition("  ")
+        assert description.strip(), invocation
 
 
 def test_cli_verify_rejects_unknown_check(capsys):
