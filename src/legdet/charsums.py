@@ -38,6 +38,7 @@ from .matrices import squares_matrix
 from .ntcore import PrimeCtx, _factor_trial
 
 EXACT_PMAX = 61          # eigen_verify's default mode: exact up to here, float above
+FLOAT_PREC_BITS = 128    # mpmath precision of eigen_verify's floats, well past a double's 53
 
 
 @functools.lru_cache(maxsize=None)
@@ -121,11 +122,11 @@ class CyclotomicElt:
             return c[0]
         return None
 
-    def to_float(self, prec_bits: int = 128) -> mpmath.mpc:
+    def to_float(self) -> mpmath.mpc:
         import mpmath
 
-        roots = _root_table(self.order, prec_bits)
-        with mpmath.workprec(prec_bits):
+        roots = _root_table(self.order)
+        with mpmath.workprec(FLOAT_PREC_BITS):
             return sum(
                 (c * roots[t] for t, c in enumerate(self.coeffs) if c),
                 start=mpmath.mpc(0),
@@ -133,10 +134,10 @@ class CyclotomicElt:
 
 
 @functools.lru_cache(maxsize=16)
-def _root_table(m: int, prec_bits: int):
+def _root_table(m: int):
     import mpmath
 
-    with mpmath.workprec(prec_bits):
+    with mpmath.workprec(FLOAT_PREC_BITS):
         base = mpmath.expjpi(mpmath.mpf(2) / m)
         return tuple(base**t for t in range(m))
 
@@ -230,15 +231,11 @@ class EigenReport:
         return out
 
 
-def eigen_verify(
-    ctx: PrimeCtx,
-    exact: bool | None = None,
-    prec_bits: int = 128,
-) -> EigenReport:
+def eigen_verify(ctx: PrimeCtx, exact: bool | None = None) -> EigenReport:
     """The eigenvalue report that `legdet eigen` prints; its verdict `ok` is
     eigen_identity's.
 
-    The lambda_k are evaluated in mpmath at prec_bits.  Exact mode (the
+    The lambda_k are evaluated in mpmath at FLOAT_PREC_BITS.  Exact mode (the
     default up to EXACT_PMAX) also reports each lambda_k in Z[zeta_{p-1}];
     float mode reports the numpy residual max_j |(M v_k - lambda_k v_k)_j| of
     each k instead.  Neither the floats nor the residuals decide anything.
@@ -248,7 +245,7 @@ def eigen_verify(
         exact = ctx.p <= EXACT_PMAX
     n, m = ctx.n, ctx.p - 1
     lams_exact = tuple(eigenvalue_exact(ctx, k) for k in range(1, n + 1))
-    lam_re = tuple(float(lam.to_float(prec_bits).real) for lam in lams_exact)
+    lam_re = tuple(float(lam.to_float().real) for lam in lams_exact)
     if exact:
         return EigenReport(ctx.p, "exact", lam_re, (0.0,) * n, lams_exact, identity)
 

@@ -36,8 +36,10 @@ def _parse_args(argv):
     v.add_argument("--what", default="all",
                    help="comma-separated check ids, or 'all' (default)")
     v.add_argument("--pmax", type=int, default=None, help=_pmax_help())
-    v.add_argument("--d", default=None,
-                   help="comma-separated d values for the d-indexed checks")
+    reads_d = ", ".join(check.id for check in CHECKS.values() if check.reads_d)
+    v.add_argument("--d", default=None, metavar="LIST|all",
+                   help=f"comma-separated d values for {reads_d}, or 'all' for every d "
+                        "in 0..p-1; defaults to 1, 2, 3, 5, p-1 and 8 more per prime")
     v.add_argument("--jobs", type=int, default=1, metavar="K",
                    help="fork at most K worker processes, and no more than the "
                         "usable CPUs, once the run can pay for the fork; the "
@@ -45,20 +47,20 @@ def _parse_args(argv):
     v.add_argument("--format", choices=("json", "csv", "text"), default="text",
                    help="output format (default: text)")
     v.add_argument("--cache", default=None, help="JSONL result cache path")
-    v.add_argument("--full-d-sweep", action="store_true",
-                   help="run every d in 0..p-1 (quadratic blowup)")
 
     d = sub.add_parser("det", help="print one exact determinant or polynomial")
     d.add_argument("--matrix", required=True,
-                   choices=("s", "sstar", "carlitz", "chapman", "chapman-star", "evil"))
-    d.add_argument("--p", type=int, required=True)
-    d.add_argument("--d", type=int, default=1)
+                   choices=("s", "sstar", "carlitz", "chapman", "chapman-star", "evil"),
+                   help="S(d,p), S*(p), det of Carlitz's matrix, det C(x), det C*(x) "
+                        "or Chapman's evil determinant")
+    d.add_argument("--p", type=int, required=True, help="an odd prime")
+    d.add_argument("--d", type=int, default=1,
+                   help="the d of S(d,p) (default: 1); only --matrix s reads it")
 
     e = sub.add_parser("eigen", help="print the eigenvalue report for one prime")
-    e.add_argument("--p", type=int, required=True)
+    e.add_argument("--p", type=int, required=True, help="a prime p = 1 (mod 4)")
     e.add_argument("--exact", action="store_true",
                    help="force exact cyclotomic mode regardless of size")
-    e.add_argument("--precision-bits", type=int, default=128)
 
     return top.parse_args(argv)
 
@@ -75,9 +77,9 @@ def _cmd_verify(args) -> int:
     if args.jobs < 1:
         print(f"--jobs must be at least 1, not {args.jobs}", file=sys.stderr)
         return 2
-    d_list = None
-    if args.d:
-        d_list = [int(x) for x in args.d.split(",")]
+    d_list = args.d or None
+    if d_list and d_list != "all":
+        d_list = [int(x) for x in d_list.split(",")]
     config = RunConfig(
         checks=checks,
         pmax=args.pmax,
@@ -85,7 +87,6 @@ def _cmd_verify(args) -> int:
         jobs=args.jobs,
         fmt=args.format,
         cache_path=args.cache,
-        full_d_sweep=args.full_d_sweep,
     )
     return run(config)
 
@@ -107,13 +108,9 @@ def _cmd_det(args) -> int:
 
 
 def _cmd_eigen(args) -> int:
-    if args.precision_bits < 53:     # the rows print doubles, whose significand has 53 bits
-        print(f"--precision-bits must be at least 53, not {args.precision_bits}",
-              file=sys.stderr)
-        return 2
     ctx = PrimeCtx.for_prime(args.p)
     exact = True if args.exact else None
-    report = charsums.eigen_verify(ctx, exact=exact, prec_bits=args.precision_bits)
+    report = charsums.eigen_verify(ctx, exact=exact)
     for row in report.rows():
         print(json.dumps(row, separators=(",", ":")))
     return 0 if report.ok else 1

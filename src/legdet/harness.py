@@ -137,7 +137,12 @@ def prime_work(p: int) -> PrimeWork:
 
 
 def _d_list(p: int, opts: dict) -> list[int]:
-    return list(dict.fromkeys(d % p for d in (opts.get("d_list") or default_d_list(p))))
+    """The d values of p for the checks that read the run's d-list: every d
+    in 0..p-1 for "all", else the list (default_d_list(p) if none) mod p."""
+    d_list = opts.get("d_list")
+    if d_list == "all":
+        return list(range(p))
+    return list(dict.fromkeys(d % p for d in (d_list or default_d_list(p))))
 
 
 # ---------------------------------------------------------------------------
@@ -149,9 +154,8 @@ def _d_list(p: int, opts: dict) -> list[int]:
 def _check_theorem_a(work: PrimeWork, opts: dict) -> list[CheckResult]:
     ctx, p = work.ctx, work.ctx.p
     a = ctx.decomp.a
-    d_list = list(range(p)) if opts.get("full_sweep") else _d_list(p, opts)
     out = []
-    for d in d_list:
+    for d in _d_list(p, opts):
         s_val = work.det(d)
         eps = ctx.epsilon(d)
         wit = {"S": str(s_val), "a": str(a), "eps": str(eps)}
@@ -421,20 +425,21 @@ def _revalidate_sun_qr(r: CheckResult) -> bool:
 @dataclass(frozen=True)
 class Check:
     """One identity check: the primes it covers, its default prime ceiling,
-    the worker that computes its results for one prime and the re-validator
-    of its pass witnesses."""
+    the worker that computes its results for one prime, the re-validator
+    of its pass witnesses, and whether the worker reads the run's d-list."""
 
     id: str
     cls4: int | None        # covers odd primes p = cls4 (mod 4); None: every odd prime
     pmax: int               # default prime ceiling
     worker: Callable[[PrimeWork, dict], list[CheckResult]]
     revalidate: Callable[[CheckResult], bool]
+    reads_d: bool = False   # its results depend on the d-list, so its cache keys carry it
 
 
 # Determinant checks stop at 200, scalar checks go to 2000 and carlitz stops at
 # 47.  Raising a ceiling changes the default output.
 CHECKS = {check.id: check for check in (
-    Check("theorem-a", 1, 200, _check_theorem_a, _revalidate_theorem_a),
+    Check("theorem-a", 1, 200, _check_theorem_a, _revalidate_theorem_a, reads_d=True),
     Check("corollary-a", 1, 200, _check_corollary_a, _revalidate_corollary_a),
     Check("conjecture-a", 3, 200, _check_conjecture_a, _revalidate_conjecture_a),
     Check("lemma-sign", 1, 2000, _check_lemma_sign, _revalidate_lemma_sign),
@@ -447,8 +452,8 @@ CHECKS = {check.id: check for check in (
           _revalidate_chapman),
     Check("chapman-star", None, 200, functools.partial(_check_chapman, star=True),
           _revalidate_chapman),
-    Check("sun-zero", 1, 200, _check_sun_zero, _revalidate_sun_zero),
-    Check("sun-qr", 1, 200, _check_sun_qr, _revalidate_sun_qr),
+    Check("sun-zero", 1, 200, _check_sun_zero, _revalidate_sun_zero, reads_d=True),
+    Check("sun-qr", 1, 200, _check_sun_qr, _revalidate_sun_qr, reads_d=True),
 )}
 CHECK_IDS = tuple(CHECKS)
 
@@ -509,13 +514,14 @@ class ResultCache:
     ignored on load.  An unparsable last line, as an interrupted write leaves,
     is skipped with a warning and cut off before the next append; any other
     line that is not an object holding version, task and results raises
-    ValueError.  A whole last line that lacks its newline gets one before the
-    next append."""
+    ValueError, as does a current-version line whose results are not a list
+    of CheckResult records.  A whole last line that lacks its newline gets
+    one before the next append."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self.version = code_version()
-        self._records: dict[str, list[dict]] = {}
+        self._records: dict[str, list[CheckResult]] = {}
         self._torn_at: int | None = None     # byte offset of a torn last line
         self._unterminated = False           # the file does not end in a newline
         if self.path.exists():
@@ -538,21 +544,19 @@ class ResultCache:
                         continue
                     rec = None
                 # a record cut short does not parse, so this is no torn write
-                if not (isinstance(rec, dict) and {"version", "task", "results"} <= rec.keys()):
-                    raise ValueError(f"{self.path}: line {i + 1} is not a cache record")
-                if rec["version"] != self.version:
-                    continue
-                self._records[rec["task"]] = rec["results"]
+                try:
+                    version, task, results = rec["version"], rec["task"], rec["results"]
+                    if version == self.version:
+                        self._records[task] = [CheckResult.from_record(r) for r in results]
+                except (KeyError, TypeError):
+                    raise ValueError(f"{self.path}: line {i + 1} is not a cache record") from None
 
     def get(self, task_key: str) -> list[CheckResult] | None:
-        recs = self._records.get(task_key)
-        if recs is None:
-            return None
-        return [CheckResult.from_record(r) for r in recs]
+        return self._records.get(task_key)
 
     def put(self, task_key: str, results: list[CheckResult]) -> None:
+        self._records[task_key] = results
         recs = [r.to_record() for r in results]
-        self._records[task_key] = recs
         newline = ""
         if self._torn_at is not None:
             with self.path.open("r+b") as fh:
@@ -575,20 +579,15 @@ class ResultCache:
 class RunConfig:
     checks: tuple[str, ...] = CHECK_IDS
     pmax: int | None = None                  # None: per-check defaults
-    d_list: list[int] | None = None
+    d_list: list[int] | str | None = None    # "all": every d in 0..p-1
     jobs: int = 1
     fmt: str = "text"                        # json | csv | text
     cache_path: str | None = None
-    full_d_sweep: bool = False
 
 
 def _task_key(check_id: str, p: int, opts: dict) -> str:
-    rel = {
-        k: opts[k]
-        for k in ("d_list", "full_sweep")
-        if opts.get(k) not in (None, False)
-    }
-    return f"{check_id}|{p}|{json.dumps(rel, sort_keys=True)}"
+    rel = {"d_list": opts["d_list"]} if CHECKS[check_id].reads_d and opts["d_list"] else {}
+    return f"{check_id}|{p}|{json.dumps(rel)}"
 
 
 # What forking --jobs workers costs a run, in wall time: the least work done,
@@ -736,7 +735,7 @@ def run(config: RunConfig, out=None) -> int:
     """Execute the configured checks; returns 0 iff no check failed."""
     out = out or sys.stdout
     cache = ResultCache(config.cache_path) if config.cache_path else None
-    opts = {"d_list": config.d_list, "full_sweep": config.full_d_sweep}
+    opts = {"d_list": config.d_list}
     tasks = []
     for check_id in dict.fromkeys(config.checks):       # each check once
         pmax = config.pmax if config.pmax is not None else default_pmax(check_id)

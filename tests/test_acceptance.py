@@ -13,6 +13,7 @@ expansion); test_quadfield.py::test_chapman_forms_fail_at_p3 pins that
 exception to its exact values.
 """
 
+import hashlib
 import random
 import time
 
@@ -24,6 +25,7 @@ from conftest import (
     run_json,
 )
 from legdet.charsums import eigen_verify, product_identity
+from legdet.cli import main as cli_main
 from legdet.exactla import det_exact, det_mod
 from legdet.harness import run_check
 from legdet.matrices import (
@@ -67,7 +69,7 @@ def test_criterion_01_worked_examples():
 
 def test_criterion_02_squares_det_full_d_sweep():
     t0 = time.monotonic()
-    code, records = run_json(checks=("theorem-a",), pmax=200, full_d_sweep=True)
+    code, records = run_json(checks=("theorem-a",), pmax=200, d_list="all")
     elapsed = time.monotonic() - t0
     failures = [(r["p"], r["params"]["d"]) for r in records if r["status"] != "pass"]
     count = len(records)
@@ -79,6 +81,15 @@ def test_criterion_02_squares_det_full_d_sweep():
         ok,
         f"{count} (p,d) pairs, {len(failures)} failures, {elapsed:.1f}s",
     )
+
+
+def test_d_all_prints_the_full_theorem_a_sweep_byte_for_byte(capsys):
+    # the md5 that --full-d-sweep, which --d all replaced, printed for this run
+    args = ["verify", "--what", "theorem-a", "--pmax", "61", "--format", "json", "--d", "all"]
+    assert cli_main(args) == 0
+    out = capsys.readouterr().out
+    assert hashlib.md5(out.encode()).hexdigest() == "cfdcdf95edee897945edc903aee6effc"
+    assert out.count("\n") == 1 + sum(oracle_primes(5, 61, cls4=1))     # every (p, d), summary
 
 
 def test_criterion_03_star_determinant_sweep():

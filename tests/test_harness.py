@@ -78,7 +78,7 @@ def test_default_d_list_deterministic():
 
 
 def test_theorem_a_full_sweep_p13():
-    results = run_check("theorem-a", 13, {"full_sweep": True})
+    results = run_check("theorem-a", 13, {"d_list": "all"})
     assert len(results) == 13
     assert all(r.status == "pass" for r in results)
     by_d = {r.params["d"]: r for r in results}
@@ -357,6 +357,30 @@ def test_code_version_follows_every_source_byte(tmp_path, monkeypatch):
     versions.append(code_version())
     assert len(set(versions)) == 3
     assert all(len(v) == 16 and set(v) <= set("0123456789abcdef") for v in versions)
+
+
+def test_only_the_checks_that_read_d_key_their_cache_on_it(tmp_path):
+    cache = tmp_path / "c.jsonl"
+    args = ["verify", "--what", "jacobsthal,theorem-a", "--pmax", "29", "--cache", str(cache)]
+    assert cli_main(args) == 0
+    assert cache.read_text().count("\n") == 8             # two checks at 5, 13, 17, 29
+    assert cli_main(args + ["--d", "2"]) == 0
+    added = cache.read_text().splitlines()[8:]
+    assert sorted(json.loads(line)["task"] for line in added) == [
+        f'theorem-a|{p}|{{"d_list": [2]}}' for p in (13, 17, 29, 5)]
+
+
+def test_d_all_reaches_sun_zero_and_sun_qr(capsys):
+    args = ["verify", "--what", "sun-zero,sun-qr", "--pmax", "13", "--format", "json"]
+    assert cli_main(args + ["--d", "all"]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()[:-1]]
+    assert len(records) == 16
+    for p in (5, 13):
+        ctx = PrimeCtx.for_prime(p)
+        for check_id, ld in (("sun-zero", -1), ("sun-qr", 1)):
+            assert [r["params"]["d"] for r in records if (r["check_id"], r["p"]) == (check_id, p)
+                    ] == [d for d in range(p) if ctx.legendre(d) == ld]
+    assert all(r["status"] == "pass" for r in records)
 
 
 def test_cache_covers_empty_result_tasks(tmp_path):
@@ -652,17 +676,24 @@ def test_cli_verify_rejects_jobs_below_one(capsys):
 
 
 def test_cli_rejects_precision_bits_below_53(capsys):
-    for bits in ("0", "4", "32", "52"):
-        assert cli_main(["eigen", "--p", "13", "--precision-bits", bits]) == 2, bits
-        captured = capsys.readouterr()
-        assert "--precision-bits" in captured.err and captured.out == ""
-    assert cli_main(["eigen", "--p", "13", "--precision-bits", "53"]) == 0
-    capsys.readouterr()
     # no check of verify reads a precision, so verify has no such option
     with pytest.raises(SystemExit) as exc:
         cli_main(["verify", "--what", "eigen", "--pmax", "13", "--precision-bits", "128"])
     assert exc.value.code == 2
     assert "--precision-bits" in capsys.readouterr().err
+
+
+def test_every_cli_option_has_help(capsys):
+    for command in ("verify", "det", "eigen"):
+        with pytest.raises(SystemExit):
+            cli_main([command, "--help"])
+        lines = capsys.readouterr().out.split("options:\n")[1].splitlines() + [""]
+        for line, after in zip(lines, lines[1:]):
+            # the help follows on the option's line, or indented on the next
+            if line.startswith("  -"):
+                assert "  " in line.strip() or after.startswith("   "), (command, line)
+        if command == "det":
+            assert "only --matrix s reads it" in " ".join(" ".join(lines).split())
 
 
 def test_eigen_check_names_a_flipped_row(monkeypatch):
@@ -713,6 +744,23 @@ def test_cache_rejects_a_line_that_is_not_a_record(tmp_path, capsys):
     # JSON that parses, so no torn write, whether it is the last line or not
     for bad in ("7", "[1,2]", "null", json.dumps({"version": code_version()})):
         for lines, lineno in (([bad], 1), ([record, bad, record], 2)):
+            cache.write_text("\n".join(lines) + "\n")
+            assert cli_main(args) == 2, (bad, lineno)
+            captured = capsys.readouterr()
+            assert captured.out == "", (bad, lineno)
+            assert captured.err == f"error: {cache}: line {lineno} is not a cache record\n"
+
+
+def test_cache_rejects_a_record_whose_results_are_not_results(tmp_path, capsys):
+    cache = tmp_path / "c.jsonl"
+    args = ["verify", "--what", "jacobsthal", "--pmax", "13", "--cache", str(cache)]
+    assert cli_main(args) == 0
+    capsys.readouterr()
+    first, second = cache.read_text().splitlines()
+    for bad in (7, [7], [{"check_id": "jacobsthal"}], "results", {"p": 13}, [None]):
+        for lines, lineno in (([second, first], 2), ([first, second], 1)):
+            rec = json.loads(lines[lineno - 1])
+            lines[lineno - 1] = json.dumps({**rec, "results": bad})
             cache.write_text("\n".join(lines) + "\n")
             assert cli_main(args) == 2, (bad, lineno)
             captured = capsys.readouterr()
