@@ -11,6 +11,7 @@ from .ntcore import (
     legendre,
     perm_sign_cycles,
     perm_sign_formula,
+    perm_sign_rotation,
 )
 from .matrices import (
     AffineMatrix,
@@ -78,6 +79,7 @@ __all__ = [
     "legendre",
     "perm_sign_cycles",
     "perm_sign_formula",
+    "perm_sign_rotation",
     "product_identity",
     "row_identity_check",
     "run",

@@ -19,7 +19,6 @@ import csv
 import functools
 import importlib.util
 import json
-import math
 import os
 import random
 import sys
@@ -33,10 +32,12 @@ from . import charsums, exactla, quadfield
 from .exactla import IntPoly
 from .ntcore import (
     PrimeCtx,
+    _factor_trial,
     is_perfect_square,
     is_prime,
     perm_sign_cycles,
     perm_sign_formula,
+    perm_sign_rotation,
     jacobsthal_sum,
 )
 
@@ -168,7 +169,7 @@ def _check_theorem_a(work: PrimeWork, opts: dict) -> list[CheckResult]:
         if ld == -1:
             ok = ok and s_val == 0
         elif ld == 1:
-            sign = perm_sign_cycles(ctx, d)
+            sign = perm_sign_rotation(ctx, d)
             wit["sign"] = str(sign)
             wit["S1"] = str(work.det(1))
             ok = ok and s_val == sign * work.det(1)
@@ -232,7 +233,7 @@ def _revalidate_conjecture_a(r: CheckResult) -> bool:
 def _check_lemma_sign(work: PrimeWork, opts: dict) -> list[CheckResult]:
     ctx, p = work.ctx, work.ctx.p
     squares = (j * j % p for j in range(1, ctx.n + 1))
-    bad = [d for d in squares if perm_sign_cycles(ctx, d) != perm_sign_formula(ctx, d)]
+    bad = [d for d in squares if perm_sign_rotation(ctx, d) != perm_sign_formula(ctx, d)]
     wit = {"qr_count": str(ctx.n), "mismatches": str(len(bad))}
     if bad:
         wit["first_bad_d"] = str(bad[0])
@@ -240,16 +241,23 @@ def _check_lemma_sign(work: PrimeWork, opts: dict) -> list[CheckResult]:
 
 
 def _revalidate_lemma_sign(r: CheckResult) -> bool:
-    """qr_count = (p-1)/2, and at every square d the sign by the rotation
-    structure equals the formula's.  In the coordinates x = g^(2t), x -> dx
-    is rotation by k = dlog(d)/2 on Z/n, of sign (-1)^(n - gcd(n, k))."""
+    """qr_count = (p-1)/2, and at every square d the sign from ord(d) equals
+    the formula's.  The cycles of x -> dx are the cosets of <d>, n / ord(d)
+    of them; ord(d) divides n, and comes from n's prime factors q by
+    dividing e = n by q while d^(e/q) = 1, with neither dlog nor a walk."""
     w, ctx = r.witness, PrimeCtx.for_prime(r.p)
     p, n = ctx.p, ctx.n
     if int(w["qr_count"]) != n or int(w["mismatches"]) != 0:
         return False
-    return all(
-        (-1 if (n - math.gcd(n, ctx.dlog[d] // 2)) % 2 else 1) == perm_sign_formula(ctx, d)
-        for d in (j * j % p for j in range(1, n + 1)))
+    factors = _factor_trial(n)
+    for d in (j * j % p for j in range(1, n + 1)):
+        order = n
+        for q in factors:
+            while order % q == 0 and pow(d, order // q, p) == 1:
+                order //= q
+        if (-1 if (n - n // order) % 2 else 1) != perm_sign_formula(ctx, d):
+            return False
+    return True
 
 
 def _check_eigen(work: PrimeWork, opts: dict) -> list[CheckResult]:
@@ -508,6 +516,20 @@ def code_version() -> str:
     return importlib.util.source_hash(source).hex()
 
 
+def _cached_result(rec: dict) -> CheckResult:
+    """A cached result record as a CheckResult; TypeError unless its check_id
+    is a str, p an int, status pass, fail or skipped, params None or a dict,
+    and witness a dict of str to str."""
+    r = CheckResult.from_record(rec)
+    if not (type(r.check_id) is str and type(r.p) is int
+            and r.status in ("pass", "fail", "skipped")
+            and (r.params is None or type(r.params) is dict)
+            and type(r.witness) is dict
+            and all(type(v) is str for v in r.witness.values())):
+        raise TypeError(f"not a cached result: {rec!r}")
+    return r
+
+
 class ResultCache:
     """Append-only JSON Lines cache, one line per task, keyed by
     (check_id, p, params, code version).  Stale-version lines are kept but
@@ -515,8 +537,8 @@ class ResultCache:
     is skipped with a warning and cut off before the next append; any other
     line that is not an object holding version, task and results raises
     ValueError, as does a current-version line whose results are not a list
-    of CheckResult records.  A whole last line that lacks its newline gets
-    one before the next append."""
+    of CheckResult records with fields of the right types.  A whole last
+    line that lacks its newline gets one before the next append."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
@@ -547,7 +569,7 @@ class ResultCache:
                 try:
                     version, task, results = rec["version"], rec["task"], rec["results"]
                     if version == self.version:
-                        self._records[task] = [CheckResult.from_record(r) for r in results]
+                        self._records[task] = [_cached_result(r) for r in results]
                 except (KeyError, TypeError):
                     raise ValueError(f"{self.path}: line {i + 1} is not a cache record") from None
 

@@ -188,6 +188,20 @@ def perm_sign_cycles(ctx: PrimeCtx, d: int) -> int:
     return -1 if (ctx.n - ctx.n // order) % 2 else 1
 
 
+def perm_sign_rotation(ctx: PrimeCtx, d: int) -> int:
+    """Sign of the same permutation, by its rotation structure.
+
+    In the coordinates x = g^(2t), t in Z/n, x -> d*x is rotation by
+    k = dlog(d)/2, which has gcd(n, k) cycles: the sign is
+    (-1)^(n - gcd(n, k)), read from dlog without a walk.
+    """
+    p = ctx.p
+    d %= p
+    if ctx.legendre(d) != 1:
+        raise ValueError(f"d={d} is not a quadratic residue mod {p}")
+    return -1 if (ctx.n - math.gcd(ctx.n, ctx.dlog[d] // 2)) % 2 else 1
+
+
 def perm_sign_formula(ctx: PrimeCtx, d: int) -> int:
     """Sign of the same permutation, for p = 1 (mod 4): epsilon(d), which
     reads d^((p-1)/4) mod p."""

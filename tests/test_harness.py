@@ -241,6 +241,22 @@ def test_revalidate_lemma_sign_checks_qr_count_and_every_sign(monkeypatch):
     assert not revalidate(r)
 
 
+def test_sign_workers_fail_where_the_rotation_sign_is_wrong(monkeypatch):
+    [lemma] = run_check("lemma-sign", 29)
+    [theorem] = run_check("theorem-a", 29, {"d_list": [7]})
+    real = harness.perm_sign_rotation
+    monkeypatch.setattr(harness, "perm_sign_rotation",
+                        lambda ctx, d: -real(ctx, d) if d % ctx.p == 7 else real(ctx, d))
+    [r] = run_check("lemma-sign", 29)
+    assert r.status == "fail"
+    assert r.witness["mismatches"] == "1" and r.witness["first_bad_d"] == "7"
+    [r] = run_check("theorem-a", 29, {"d_list": [7]})
+    assert r.status == "fail" and r.witness["sign"] == str(-int(theorem.witness["sign"]))
+    # neither re-validator takes its sign from the rotation
+    assert lemma.status == theorem.status == "pass"
+    assert revalidate(lemma) and revalidate(theorem)
+
+
 def test_run_check_rejects_a_prime_outside_the_class():
     for check_id in CHECK_IDS:
         cls4 = harness.CHECKS[check_id].cls4
@@ -761,6 +777,31 @@ def test_cache_rejects_a_record_whose_results_are_not_results(tmp_path, capsys):
         for lines, lineno in (([second, first], 2), ([first, second], 1)):
             rec = json.loads(lines[lineno - 1])
             lines[lineno - 1] = json.dumps({**rec, "results": bad})
+            cache.write_text("\n".join(lines) + "\n")
+            assert cli_main(args) == 2, (bad, lineno)
+            captured = capsys.readouterr()
+            assert captured.out == "", (bad, lineno)
+            assert captured.err == f"error: {cache}: line {lineno} is not a cache record\n"
+
+
+@pytest.mark.parametrize("field, bads", [
+    ("check_id", [7, None, ["jacobsthal"]]),
+    ("p", ["13", 13.0, True, None]),
+    ("status", ["maybe", "PASS", None, 1]),
+    ("params", [7, [], "d"]),
+    ("witness", [7, None, ["sum"], {"sum": 7}, {"sum": None}]),
+])
+def test_cache_rejects_a_result_field_of_the_wrong_value(tmp_path, capsys, field, bads):
+    cache = tmp_path / "c.jsonl"
+    args = ["verify", "--what", "jacobsthal", "--pmax", "13", "--cache", str(cache)]
+    assert cli_main(args) == 0
+    capsys.readouterr()
+    first, second = cache.read_text().splitlines()
+    for bad in bads:
+        for lines, lineno in (([second, first], 2), ([first, second], 1)):
+            rec = json.loads(lines[lineno - 1])
+            rec["results"][0][field] = bad
+            lines[lineno - 1] = json.dumps(rec)
             cache.write_text("\n".join(lines) + "\n")
             assert cli_main(args) == 2, (bad, lineno)
             captured = capsys.readouterr()

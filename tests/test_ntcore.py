@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -27,6 +28,7 @@ from legdet.ntcore import (
     legendre,
     perm_sign_cycles,
     perm_sign_formula,
+    perm_sign_rotation,
 )
 
 
@@ -193,6 +195,29 @@ def test_perm_sign_rejects_nonresidue():
         perm_sign_cycles(ctx, 2)
     with pytest.raises(ValueError):
         perm_sign_formula(ctx, 2)
+    for p, d in ((13, 2), (13, 0), (7, 3), (7, 14)):
+        with pytest.raises(ValueError, match="not a quadratic residue"):
+            perm_sign_rotation(PrimeCtx.for_prime(p), d)
+
+
+def test_perm_sign_rotation_matches_the_walks():
+    # both classes mod 4; at p = 3 (mod 4), n is odd
+    for p in oracle_primes(3, 499):
+        ctx = PrimeCtx.for_prime(p)
+        for d in sorted(oracle_qr_set(p)):
+            sign = perm_sign_rotation(ctx, d)
+            assert sign == perm_sign_cycles(ctx, d) == oracle_perm_sign_cycles(p, d), (p, d)
+
+
+def test_perm_sign_rotation_does_not_depend_on_the_generator():
+    # dlog is taken base g, the sign is not: g^k generates too when gcd(k, p-1) = 1
+    for p in oracle_primes(5, 499):
+        ctx = PrimeCtx.for_prime(p)
+        k = next(k for k in range(3, p) if math.gcd(k, p - 1) == 1)
+        other = PrimeCtx.for_prime(p, pow(ctx.g, k, p))
+        assert other.g != ctx.g and other.dlog != ctx.dlog, p
+        for d in sorted(oracle_qr_set(p)):
+            assert perm_sign_rotation(other, d) == perm_sign_cycles(ctx, d), (p, d)
 
 
 def test_is_perfect_square():
