@@ -36,7 +36,7 @@ def _parse_args(argv):
     v.add_argument("--what", default="all",
                    help="comma-separated check ids, or 'all' (default)")
     v.add_argument("--pmax", type=int, default=None, help=_pmax_help())
-    reads_d = ", ".join(check.id for check in CHECKS.values() if check.reads_d)
+    reads_d = ", ".join(check.id for check in CHECKS.values() if check.d_symbols is not None)
     v.add_argument("--d", default=None, metavar="LIST|all",
                    help=f"comma-separated d values for {reads_d}, or 'all' for every d "
                         "in 0..p-1; defaults to 1, 2, 3, 5, p-1 and 8 more per prime")

@@ -2,14 +2,16 @@
 emits machine-readable results, and caches them for resumable re-runs.
 
 Each check is one record in CHECKS: the primes it covers, its default prime
-ceiling, its worker and its re-validator.  A worker is a pure function of
-(PrimeWork, options) that produces CheckResult records whose witnesses are
-decimal strings; the re-validator re-checks them by independent scalar
-arithmetic.  The checks of one prime share its PrimeWork, so run() hands out
-one job per prime, largest first; with --jobs it forks worker processes for
-the jobs left once the run has shown that they can pay for the fork, and
-worker w of k runs every k-th of them from the w-th on.  Results are always
-emitted in deterministic order.
+ceiling, its worker, its re-validator and the values of (d/p) at which it
+runs, if it runs once per d.  A worker is a pure function of a PrimeWork, and
+of d for such a check, that returns a verdict: whether the check holds, and a
+witness of decimal strings.  run_check alone turns verdicts into CheckResult
+records; the re-validator re-checks a pass by independent scalar arithmetic,
+also when run() takes it from the cache.  The checks of one prime share its
+PrimeWork, so run() hands out one job per prime, largest first; with --jobs
+it forks worker processes for the jobs left once the run has shown that they
+can pay for the fork, and worker w of k runs every k-th of them from the w-th
+on.  Results are always emitted in deterministic order.
 """
 
 from __future__ import annotations
@@ -151,32 +153,30 @@ def _d_list(p: int, opts: dict) -> list[int]:
 # a pass witness by its own arithmetic, not by the worker's pass predicate
 # ---------------------------------------------------------------------------
 
+# A worker's verdict: whether the check holds, and its witness.
+Verdict = tuple[bool, dict[str, str]]
 
-def _check_theorem_a(work: PrimeWork, opts: dict) -> list[CheckResult]:
-    ctx, p = work.ctx, work.ctx.p
+
+def _check_theorem_a(work: PrimeWork, d: int) -> Verdict:
+    ctx = work.ctx
     a = ctx.decomp.a
-    out = []
-    for d in _d_list(p, opts):
-        s_val = work.det(d)
-        eps = ctx.epsilon(d)
-        wit = {"S": str(s_val), "a": str(a), "eps": str(eps)}
-        quotient, rem = divmod(eps * s_val, a)
-        root = is_perfect_square(quotient) if rem == 0 else None
-        ok = rem == 0 and root is not None
-        if root is not None:
-            wit["root"] = str(root)
-        ld = ctx.legendre(d)
-        if ld == -1:
-            ok = ok and s_val == 0
-        elif ld == 1:
-            sign = perm_sign_rotation(ctx, d)
-            wit["sign"] = str(sign)
-            wit["S1"] = str(work.det(1))
-            ok = ok and s_val == sign * work.det(1)
-        out.append(
-            CheckResult("theorem-a", p, {"d": d}, "pass" if ok else "fail", wit)
-        )
-    return out
+    s_val = work.det(d)
+    eps = ctx.epsilon(d)
+    wit = {"S": str(s_val), "a": str(a), "eps": str(eps)}
+    quotient, rem = divmod(eps * s_val, a)
+    root = is_perfect_square(quotient) if rem == 0 else None
+    ok = root is not None
+    if root is not None:
+        wit["root"] = str(root)
+    ld = ctx.legendre(d)
+    if ld == -1:
+        ok = ok and s_val == 0
+    elif ld == 1:
+        sign = perm_sign_rotation(ctx, d)
+        wit["sign"] = str(sign)
+        wit["S1"] = str(work.det(1))
+        ok = ok and s_val == sign * work.det(1)
+    return ok, wit
 
 
 def _revalidate_theorem_a(r: CheckResult) -> bool:
@@ -196,8 +196,8 @@ def _revalidate_theorem_a(r: CheckResult) -> bool:
     return True
 
 
-def _check_corollary_a(work: PrimeWork, opts: dict) -> list[CheckResult]:
-    ctx, p = work.ctx, work.ctx.p
+def _check_corollary_a(work: PrimeWork) -> Verdict:
+    ctx = work.ctx
     a = ctx.decomp.a
     s_val = work.det(1)
     star = charsums.det_squares_star(ctx)
@@ -206,7 +206,7 @@ def _check_corollary_a(work: PrimeWork, opts: dict) -> list[CheckResult]:
     wit = {"Sstar": str(star), "S": str(s_val), "a": str(a)}
     if root is not None:
         wit["root"] = str(root)
-    return [CheckResult("corollary-a", p, None, "pass" if ok else "fail", wit)]
+    return ok, wit
 
 
 def _revalidate_corollary_a(r: CheckResult) -> bool:
@@ -217,27 +217,27 @@ def _revalidate_corollary_a(r: CheckResult) -> bool:
     return int(w["root"]) ** 2 == -star and star * a == -s_val
 
 
-def _check_conjecture_a(work: PrimeWork, opts: dict) -> list[CheckResult]:
-    p, s_val = work.ctx.p, work.det(1)
+def _check_conjecture_a(work: PrimeWork) -> Verdict:
+    s_val = work.det(1)
     root = is_perfect_square(-s_val)
     wit = {"S": str(s_val)}
     if root is not None:
         wit["root"] = str(root)
-    return [CheckResult("conjecture-a", p, None, "pass" if root is not None else "fail", wit)]
+    return root is not None, wit
 
 
 def _revalidate_conjecture_a(r: CheckResult) -> bool:
     return int(r.witness["root"]) ** 2 == -int(r.witness["S"])
 
 
-def _check_lemma_sign(work: PrimeWork, opts: dict) -> list[CheckResult]:
+def _check_lemma_sign(work: PrimeWork) -> Verdict:
     ctx, p = work.ctx, work.ctx.p
     squares = (j * j % p for j in range(1, ctx.n + 1))
     bad = [d for d in squares if perm_sign_rotation(ctx, d) != perm_sign_formula(ctx, d)]
     wit = {"qr_count": str(ctx.n), "mismatches": str(len(bad))}
     if bad:
         wit["first_bad_d"] = str(bad[0])
-    return [CheckResult("lemma-sign", p, None, "fail" if bad else "pass", wit)]
+    return not bad, wit
 
 
 def _revalidate_lemma_sign(r: CheckResult) -> bool:
@@ -260,8 +260,7 @@ def _revalidate_lemma_sign(r: CheckResult) -> bool:
     return True
 
 
-def _check_eigen(work: PrimeWork, opts: dict) -> list[CheckResult]:
-    p = work.ctx.p
+def _check_eigen(work: PrimeWork) -> Verdict:
     identity = charsums.eigen_identity(work.ctx)
     wit = {
         "rows": str(work.ctx.n),
@@ -270,7 +269,7 @@ def _check_eigen(work: PrimeWork, opts: dict) -> list[CheckResult]:
     }
     if identity.first_bad_row is not None:
         wit["first_bad_row"] = str(identity.first_bad_row)
-    return [CheckResult("eigen", p, None, "pass" if identity.ok else "fail", wit)]
+    return identity.ok, wit
 
 
 def _revalidate_eigen(r: CheckResult) -> bool:
@@ -282,23 +281,19 @@ def _revalidate_eigen(r: CheckResult) -> bool:
     )
 
 
-def _check_product(work: PrimeWork, opts: dict) -> list[CheckResult]:
-    p = work.ctx.p
+def _check_product(work: PrimeWork) -> Verdict:
     prod, det = work.eigen_product, work.det(1)
-    wit = {"prod": str(prod), "det": str(det)}
-    return [CheckResult("product", p, None, "pass" if prod == det else "fail", wit)]
+    return prod == det, {"prod": str(prod), "det": str(det)}
 
 
 def _revalidate_product(r: CheckResult) -> bool:
     return int(r.witness["prod"]) == int(r.witness["det"])
 
 
-def _check_jacobsthal(work: PrimeWork, opts: dict) -> list[CheckResult]:
-    ctx, p = work.ctx, work.ctx.p
-    s = jacobsthal_sum(ctx)
-    a = ctx.decomp.a
-    wit = {"sum": str(s), "a": str(a)}
-    return [CheckResult("jacobsthal", p, None, "pass" if s == -a else "fail", wit)]
+def _check_jacobsthal(work: PrimeWork) -> Verdict:
+    s = jacobsthal_sum(work.ctx)
+    a = work.ctx.decomp.a
+    return s == -a, {"sum": str(s), "a": str(a)}
 
 
 def _revalidate_jacobsthal(r: CheckResult) -> bool:
@@ -306,11 +301,10 @@ def _revalidate_jacobsthal(r: CheckResult) -> bool:
     return s == -int(r.witness["a"]) and jacobsthal_sum(PrimeCtx.for_prime(r.p)) == s
 
 
-def _check_row_identity(work: PrimeWork, opts: dict) -> list[CheckResult]:
-    ctx, p = work.ctx, work.ctx.p
+def _check_row_identity(work: PrimeWork) -> Verdict:
+    ctx = work.ctx
     ok = charsums.row_identity_check(ctx)
-    wit = {"a": str(ctx.decomp.a), "j_count": str(ctx.n)}
-    return [CheckResult("row-identity", p, None, "pass" if ok else "fail", wit)]
+    return ok, {"a": str(ctx.decomp.a), "j_count": str(ctx.n)}
 
 
 def _revalidate_row_identity(r: CheckResult) -> bool:
@@ -329,15 +323,14 @@ def _carlitz_expected(p: int) -> IntPoly:
     return quad ** ((p - 3) // 2) * IntPoly.make((-sgn, 0, 1))
 
 
-def _check_carlitz(work: PrimeWork, opts: dict) -> list[CheckResult]:
-    ctx, p = work.ctx, work.ctx.p
-    actual = charsums.carlitz_char_poly(ctx)
-    expected = _carlitz_expected(p)
+def _check_carlitz(work: PrimeWork) -> Verdict:
+    actual = charsums.carlitz_char_poly(work.ctx)
+    expected = _carlitz_expected(work.ctx.p)
     wit = {
         "coeffs": json.dumps(list(actual.coeffs)),
         "expected": json.dumps(list(expected.coeffs)),
     }
-    return [CheckResult("carlitz", p, None, "pass" if actual == expected else "fail", wit)]
+    return actual == expected, wit
 
 
 def _revalidate_carlitz(r: CheckResult) -> bool:
@@ -347,8 +340,7 @@ def _revalidate_carlitz(r: CheckResult) -> bool:
     )
 
 
-def _check_chapman(work: PrimeWork, opts: dict, star: bool) -> list[CheckResult]:
-    check_id = "chapman-star" if star else "chapman"
+def _check_chapman(work: PrimeWork, star: bool) -> Verdict:
     ctx, p = work.ctx, work.ctx.p
     actual = work.chapman_dets[star]
     data = None
@@ -366,10 +358,10 @@ def _check_chapman(work: PrimeWork, opts: dict, star: bool) -> list[CheckResult]
     expected = quadfield.chapman_expected(ctx, star, data)
     wit["coeffs"] = json.dumps(list(actual.coeffs))
     wit["expected"] = json.dumps(list(expected.coeffs))
-    return [CheckResult(check_id, p, None, "pass" if actual == expected else "fail", wit)]
+    return actual == expected, wit
 
 
-def _revalidate_chapman(r: CheckResult) -> bool:
+def _revalidate_chapman(r: CheckResult, star: bool) -> bool:
     """The witness's polynomials agree, and equal the closed form rebuilt from
     p, and for p = 1 (mod 4) from the unit eps and eps^h of the witness, once
     eps is checked to be a unit and eps^h to be its h-th power."""
@@ -384,41 +376,23 @@ def _revalidate_chapman(r: CheckResult) -> bool:
         if quadfield.unit_pow(eps, h, p) != eps_h:
             return False
         data = quadfield.ClassData(eps, h, eps_h)
-    expected = quadfield.chapman_expected(ctx, r.check_id == "chapman-star", data)
+    expected = quadfield.chapman_expected(ctx, star, data)
     return json.loads(w["coeffs"]) == json.loads(w["expected"]) == list(expected.coeffs)
 
 
-def _check_sun_zero(work: PrimeWork, opts: dict) -> list[CheckResult]:
-    ctx, p = work.ctx, work.ctx.p
-    out = []
-    for d in _d_list(p, opts):
-        if ctx.legendre(d) != -1:
-            continue
-        s_val = work.det(d)
-        wit = {"S": str(s_val)}
-        out.append(
-            CheckResult("sun-zero", p, {"d": d}, "pass" if s_val == 0 else "fail", wit)
-        )
-    return out
+def _check_sun_zero(work: PrimeWork, d: int) -> Verdict:
+    s_val = work.det(d)
+    return s_val == 0, {"S": str(s_val)}
 
 
 def _revalidate_sun_zero(r: CheckResult) -> bool:
     return int(r.witness["S"]) == 0
 
 
-def _check_sun_qr(work: PrimeWork, opts: dict) -> list[CheckResult]:
-    ctx, p = work.ctx, work.ctx.p
-    out = []
-    for d in _d_list(p, opts):
-        if ctx.legendre(d) != 1:
-            continue
-        s_val = work.det(d)
-        ok = ctx.legendre(-s_val) >= 0
-        wit = {"S": str(s_val), "legendre_negS": str(ctx.legendre(-s_val))}
-        out.append(
-            CheckResult("sun-qr", p, {"d": d}, "pass" if ok else "fail", wit)
-        )
-    return out
+def _check_sun_qr(work: PrimeWork, d: int) -> Verdict:
+    s_val = work.det(d)
+    symbol = work.ctx.legendre(-s_val)
+    return symbol >= 0, {"S": str(s_val), "legendre_negS": str(symbol)}
 
 
 def _revalidate_sun_qr(r: CheckResult) -> bool:
@@ -433,21 +407,24 @@ def _revalidate_sun_qr(r: CheckResult) -> bool:
 @dataclass(frozen=True)
 class Check:
     """One identity check: the primes it covers, its default prime ceiling,
-    the worker that computes its results for one prime, the re-validator
-    of its pass witnesses, and whether the worker reads the run's d-list."""
+    the worker that gives its verdict for one prime, or for one prime and
+    one d, the re-validator of its pass witnesses, and the values of (d/p)
+    at which it runs for each d of the run's d-list."""
 
     id: str
     cls4: int | None        # covers odd primes p = cls4 (mod 4); None: every odd prime
     pmax: int               # default prime ceiling
-    worker: Callable[[PrimeWork, dict], list[CheckResult]]
+    worker: Callable[..., Verdict]     # (work) or, with d_symbols, (work, d)
     revalidate: Callable[[CheckResult], bool]
-    reads_d: bool = False   # its results depend on the d-list, so its cache keys carry it
+    # None: one verdict per prime; else one per d with (d/p) in it, so the
+    # check's cache keys carry the d-list
+    d_symbols: tuple[int, ...] | None = None
 
 
 # Determinant checks stop at 200, scalar checks go to 2000 and carlitz stops at
 # 47.  Raising a ceiling changes the default output.
 CHECKS = {check.id: check for check in (
-    Check("theorem-a", 1, 200, _check_theorem_a, _revalidate_theorem_a, reads_d=True),
+    Check("theorem-a", 1, 200, _check_theorem_a, _revalidate_theorem_a, (-1, 0, 1)),
     Check("corollary-a", 1, 200, _check_corollary_a, _revalidate_corollary_a),
     Check("conjecture-a", 3, 200, _check_conjecture_a, _revalidate_conjecture_a),
     Check("lemma-sign", 1, 2000, _check_lemma_sign, _revalidate_lemma_sign),
@@ -457,11 +434,11 @@ CHECKS = {check.id: check for check in (
     Check("row-identity", 1, 2000, _check_row_identity, _revalidate_row_identity),
     Check("carlitz", None, 47, _check_carlitz, _revalidate_carlitz),
     Check("chapman", None, 200, functools.partial(_check_chapman, star=False),
-          _revalidate_chapman),
+          functools.partial(_revalidate_chapman, star=False)),
     Check("chapman-star", None, 200, functools.partial(_check_chapman, star=True),
-          _revalidate_chapman),
-    Check("sun-zero", 1, 200, _check_sun_zero, _revalidate_sun_zero, reads_d=True),
-    Check("sun-qr", 1, 200, _check_sun_qr, _revalidate_sun_qr, reads_d=True),
+          functools.partial(_revalidate_chapman, star=True)),
+    Check("sun-zero", 1, 200, _check_sun_zero, _revalidate_sun_zero, (-1,)),
+    Check("sun-qr", 1, 200, _check_sun_qr, _revalidate_sun_qr, (1,)),
 )}
 CHECK_IDS = tuple(CHECKS)
 
@@ -484,11 +461,21 @@ def applicable_primes(check_id: str, pmax: int) -> list[int]:
 
 def run_check(check_id: str, p: int, opts: dict | None = None) -> list[CheckResult]:
     """Run one check for one prime; pure, deterministic, picklable.
+    The check's worker gives one verdict, or, for a check with d_symbols, one
+    for each d of the d-list in opts, in order, whose (d/p) is in d_symbols;
+    each verdict becomes one CheckResult, with params {"d": d} for a d.
     ValueError for a prime outside the check's class mod 4."""
     check = _check(check_id)
     if check.cls4 is not None and p % 4 != check.cls4:
         raise ValueError(f"{check_id} covers primes p = {check.cls4} (mod 4), not p = {p}")
-    return check.worker(prime_work(p), opts or {})
+    work = prime_work(p)
+    if check.d_symbols is None:
+        verdicts = [(None, check.worker(work))]
+    else:
+        verdicts = [({"d": d}, check.worker(work, d)) for d in _d_list(p, opts or {})
+                    if work.ctx.legendre(d) in check.d_symbols]
+    return [CheckResult(check.id, p, params, "pass" if ok else "fail", wit)
+            for params, (ok, wit) in verdicts]
 
 
 def revalidate(result: CheckResult) -> bool:
@@ -608,7 +595,8 @@ class RunConfig:
 
 
 def _task_key(check_id: str, p: int, opts: dict) -> str:
-    rel = {"d_list": opts["d_list"]} if CHECKS[check_id].reads_d and opts["d_list"] else {}
+    reads_d = CHECKS[check_id].d_symbols is not None
+    rel = {"d_list": opts["d_list"]} if reads_d and opts["d_list"] else {}
     return f"{check_id}|{p}|{json.dumps(rel)}"
 
 
@@ -770,6 +758,14 @@ def run(config: RunConfig, out=None) -> int:
         key = _task_key(check_id, p, opts)
         cached = cache.get(key) if cache else None
         if cached is not None:
+            for r in cached:
+                try:
+                    valid = revalidate(r)
+                except (LookupError, TypeError, ValueError, ArithmeticError):
+                    valid = False           # a witness that is not the check's
+                if not valid:
+                    raise ValueError(f"{cache.path}: a cached pass of {r.check_id} "
+                                     f"at p = {r.p} fails re-validation")
             results_by_task[idx] = cached
         else:
             pending.setdefault(p, []).append((idx, key, check_id))

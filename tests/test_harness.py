@@ -137,9 +137,18 @@ def test_every_check_runs_on_a_small_prime():
         p = applicable_primes(check_id, 50)[0]
         results = run_check(check_id, p, {})
         assert results, check_id
+        d_symbols = harness.CHECKS[check_id].d_symbols
         for r in results:
             assert r.check_id == check_id
             assert r.status in ("pass", "fail", "skipped")
+            # what a cache load requires of a witness
+            assert type(r.witness) is dict, check_id
+            assert all(type(k) is str and type(v) is str for k, v in r.witness.items())
+            if d_symbols is None:
+                assert r.params is None, check_id
+            else:
+                assert list(r.params) == ["d"], check_id
+                assert PrimeCtx.for_prime(p).legendre(r.params["d"]) in d_symbols
 
 
 def test_revalidate_pass_witnesses():
@@ -691,7 +700,7 @@ def test_cli_verify_rejects_jobs_below_one(capsys):
         assert "--jobs" in captured.err and captured.out == ""
 
 
-def test_cli_rejects_precision_bits_below_53(capsys):
+def test_cli_verify_has_no_precision_bits_option(capsys):
     # no check of verify reads a precision, so verify has no such option
     with pytest.raises(SystemExit) as exc:
         cli_main(["verify", "--what", "eigen", "--pmax", "13", "--precision-bits", "128"])
@@ -807,6 +816,32 @@ def test_cache_rejects_a_result_field_of_the_wrong_value(tmp_path, capsys, field
             captured = capsys.readouterr()
             assert captured.out == "", (bad, lineno)
             assert captured.err == f"error: {cache}: line {lineno} is not a cache record\n"
+
+
+def test_cache_revalidates_every_cached_pass(tmp_path, capsys):
+    # a forged pass, or one whose witness its re-validator cannot read,
+    # exits 2 before any output
+    cache = tmp_path / "c.jsonl"
+    for what, p, old, new in (
+        ("jacobsthal", 5, '"sum":"-1"', '"sum":"999"'),
+        ("jacobsthal", 5, '"sum":"-1",', ""),
+        ("jacobsthal", 13, '"sum":"3"', '"sum":"three"'),
+        ("theorem-a", 5, '"p":5,"params":{"d":2}', '"p":5,"params":{"d":1}'),
+    ):
+        args = ["verify", "--what", what, "--pmax", "13", "--d", "1,2",
+                "--cache", str(cache)]
+        cache.unlink(missing_ok=True)
+        assert cli_main(args) == 0
+        honest = capsys.readouterr().out
+        assert cli_main(args) == 0 and capsys.readouterr().out == honest
+        text = cache.read_text()
+        assert text.count(old) == 1, (what, old)
+        cache.write_text(text.replace(old, new))
+        assert cli_main(args) == 2, (what, new)
+        captured = capsys.readouterr()
+        assert captured.out == "", (what, new)
+        assert captured.err == (f"error: {cache}: a cached pass of {what} at p = {p} "
+                                "fails re-validation\n")
 
 
 def test_cache_ends_a_last_line_that_lacks_its_newline(tmp_path, capsys):
@@ -944,8 +979,8 @@ def test_second_route_for_s1_is_eigen_crt_at_every_n(monkeypatch):
         assert work.det(1) == charsums.det_squares(work.ctx, 1)
         assert len(eigen) == count
         work.det(1)
-        [result] = _check_product(work, {})
-        assert result.status == "pass"
+        ok, _ = _check_product(work)
+        assert ok
         assert len(eigen) == count                  # product reused it
 
 
@@ -955,8 +990,8 @@ def test_class_data_is_computed_once_per_prime(monkeypatch):
     calls = _counting(monkeypatch, quadfield, "class_data")
     work = PrimeWork(13)
     for check_id in ("chapman", "chapman-star"):
-        [result] = harness.CHECKS[check_id].worker(work, {})
-        assert result.status == "pass"
+        ok, _ = harness.CHECKS[check_id].worker(work)
+        assert ok
     assert calls == [(13,)]
 
 
@@ -965,8 +1000,8 @@ def test_chapman_dets_are_computed_once_per_prime(monkeypatch):
     for p in (7, 13):
         work = PrimeWork(p)
         for check_id in ("chapman", "chapman-star"):
-            [result] = harness.CHECKS[check_id].worker(work, {})
-            assert result.status == "pass"
+            ok, _ = harness.CHECKS[check_id].worker(work)
+            assert ok
         assert calls == [(work.ctx,)]
         calls.clear()
 
