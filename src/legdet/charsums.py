@@ -33,7 +33,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
-from .exactla import IntPoly, det_exact
+from .exactla import IntPoly, _signed, det_exact
 from .matrices import squares_matrix
 from .ntcore import PrimeCtx, _factor_trial
 
@@ -423,36 +423,20 @@ def _fourier_values(vec: list[int], q: int, w: int) -> Iterator[int]:
         del planes, plane
 
 
-def _signed(r: int, q: int) -> int:
-    """The residue r mod q lifted into (-q/2, q/2): exact for a value of
-    absolute value B when q > 2B."""
-    return r if 2 * r < q else r - q
-
-
 def _squares_coeffs(ctx: PrimeCtx, d: int) -> list[int]:
     """c_s = ((1 + d g^(2s))/p), s < n: the first row of S(d,p) in the
     circulant order of det_squares."""
     p, sym = ctx.p, ctx.symbols
     d %= p
-    g2 = ctx.g * ctx.g % p
-    coeffs = []
-    x = 1
-    for _ in range(ctx.n):
-        coeffs.append(sym[(1 + d * x) % p])
-        x = x * g2 % p
-    return coeffs
+    return [sym[(1 + d * x) % p] for x in ctx.powers[::2]]
 
 
 def _square_roots(ctx: PrimeCtx) -> list[int]:
     """i_u, u < n: the root i <= n of x_u = g^(2u), the row and column of
-    S(d,p) at place u in the circulant order of det_squares."""
+    S(d,p) at place u in the circulant order of det_squares.  g^u is a
+    square root of x_u, and so is p - g^u."""
     p, n = ctx.p, ctx.n
-    roots = []
-    x = 1                               # x = g^u, a square root of x_u
-    for _ in range(n):
-        roots.append(x if x <= n else p - x)
-        x = x * ctx.g % p
-    return roots
+    return [x if x <= n else p - x for x in ctx.powers[:n]]
 
 
 def det_squares(ctx: PrimeCtx, d: int) -> int:

@@ -27,7 +27,9 @@ from .ntcore import PrimeCtx
 
 @dataclass(frozen=True)
 class IntPoly:
-    """Integer polynomial, coefficients lowest degree first, no trailing zeros."""
+    """Integer polynomial, coefficients lowest degree first, no trailing zeros:
+    a value type that the routes return and the checks compare, with no
+    arithmetic."""
 
     coeffs: tuple[int, ...]
 
@@ -47,33 +49,6 @@ class IntPoly:
             acc = acc * x + c
         return acc
 
-    def __add__(self, other: "IntPoly") -> "IntPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return IntPoly.make([x + (b[i] if i < len(b) else 0) for i, x in enumerate(a)])
-
-    def __mul__(self, other: "IntPoly") -> "IntPoly":
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return IntPoly(())
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return IntPoly.make(out)
-
-    def __pow__(self, e: int) -> "IntPoly":
-        acc = IntPoly((1,))
-        base = self
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base
-            e >>= 1
-        return acc
-
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"
@@ -91,6 +66,12 @@ class IntPoly:
             else:
                 parts.append(("- " if c < 0 else "+ ") + piece)
         return " ".join(parts)
+
+
+def _signed(r: int, q: int) -> int:
+    """The residue r mod q lifted into (-q/2, q/2): exact for a value of
+    absolute value B when q > 2B."""
+    return r if 2 * r < q else r - q
 
 
 def _rows(m) -> list[list[int]]:
@@ -241,7 +222,7 @@ def _hankel_dets(h: list[int], dims: tuple[int, ...]) -> list[int]:
         r = _subresultant(degs, leads, p - dim, q)
         if dim * (dim - 1) // 2 % 2:
             r = -r % q
-        dets.append(r if 2 * r < q else r - q)
+        dets.append(_signed(r, q))
     return dets
 
 

@@ -6,8 +6,10 @@ ceiling, its worker, its re-validator and the values of (d/p) at which it
 runs, if it runs once per d.  A worker is a pure function of a PrimeWork, and
 of d for such a check, that returns a verdict: whether the check holds, and a
 witness of decimal strings.  run_check alone turns verdicts into CheckResult
-records; the re-validator re-checks a pass by independent scalar arithmetic,
-also when run() takes it from the cache.  The checks of one prime share its
+records, one for each params of _task_params; the re-validator re-checks a
+pass by independent scalar arithmetic, also when run() takes it from the
+cache, where the results must also carry the check, p and params, in order,
+that _task_params gives their task.  The checks of one prime share its
 PrimeWork, so run() hands out one job per prime, largest first; with --jobs
 it forks worker processes for the jobs left once the run has shown that they
 can pay for the fork, and worker w of k runs every k-th of them from the w-th
@@ -21,6 +23,7 @@ import csv
 import functools
 import importlib.util
 import json
+import math
 import os
 import random
 import sys
@@ -37,6 +40,7 @@ from .ntcore import (
     _factor_trial,
     is_perfect_square,
     is_prime,
+    legendre,
     perm_sign_cycles,
     perm_sign_formula,
     perm_sign_rotation,
@@ -66,9 +70,21 @@ class CheckResult:
 
     @staticmethod
     def from_record(rec: dict) -> "CheckResult":
-        return CheckResult(
-            rec["check_id"], rec["p"], rec["params"], rec["status"], rec["witness"]
-        )
+        """A result record as a CheckResult; KeyError for a missing field, and
+        TypeError unless check_id is a str, p an int, status pass, fail or
+        skipped, params None or a dict of str to int, and witness a dict of
+        str to str.  A float or bool d would equal an int one and print
+        otherwise."""
+        r = CheckResult(rec["check_id"], rec["p"], rec["params"], rec["status"],
+                        rec["witness"])
+        if not (type(r.check_id) is str and type(r.p) is int
+                and r.status in ("pass", "fail", "skipped")
+                and (r.params is None or type(r.params) is dict
+                     and all(type(v) is int for v in r.params.values()))
+                and type(r.witness) is dict
+                and all(type(v) is str for v in r.witness.values())):
+            raise TypeError(f"not a result record: {rec!r}")
+        return r
 
 
 def primes_between(lo: int, hi: int) -> list[int]:
@@ -318,9 +334,15 @@ def _revalidate_row_identity(r: CheckResult) -> bool:
 
 
 def _carlitz_expected(p: int) -> IntPoly:
-    sgn = -1 if (p - 1) // 2 % 2 else 1
-    quad = IntPoly.make((-sgn * p, 0, 1))
-    return quad ** ((p - 3) // 2) * IntPoly.make((-sgn, 0, 1))
+    """Carlitz's closed form (x^2 - s p)^((p-3)/2) (x^2 - s), s = (-1/p),
+    expanded by the binomial theorem in y = x^2."""
+    s = -1 if (p - 1) // 2 % 2 else 1
+    e = (p - 3) // 2
+    a = [math.comb(e, k) * (-s * p) ** (e - k) for k in range(e + 1)]   # (y - s p)^e
+    b = [u - s * v for u, v in zip([0] + a, a + [0])]                     # times (y - s)
+    coeffs = [0] * (2 * len(b) - 1)
+    coeffs[::2] = b
+    return IntPoly.make(coeffs)
 
 
 def _check_carlitz(work: PrimeWork) -> Verdict:
@@ -459,21 +481,26 @@ def applicable_primes(check_id: str, pmax: int) -> list[int]:
     return [p for p in primes_between(3, pmax) if cls4 is None or p % 4 == cls4]
 
 
+def _task_params(check: Check, p: int, opts: dict) -> list[dict | None]:
+    """The params of the results of one check at one prime, in order: [None]
+    for a check without d_symbols, else {"d": d} for each d of the d-list in
+    opts whose (d/p) is in d_symbols."""
+    if check.d_symbols is None:
+        return [None]
+    return [{"d": d} for d in _d_list(p, opts) if legendre(d, p) in check.d_symbols]
+
+
 def run_check(check_id: str, p: int, opts: dict | None = None) -> list[CheckResult]:
     """Run one check for one prime; pure, deterministic, picklable.
-    The check's worker gives one verdict, or, for a check with d_symbols, one
-    for each d of the d-list in opts, in order, whose (d/p) is in d_symbols;
-    each verdict becomes one CheckResult, with params {"d": d} for a d.
+    The check's worker gives one verdict for each params of _task_params, with
+    d from params, and each verdict becomes one CheckResult.
     ValueError for a prime outside the check's class mod 4."""
     check = _check(check_id)
     if check.cls4 is not None and p % 4 != check.cls4:
         raise ValueError(f"{check_id} covers primes p = {check.cls4} (mod 4), not p = {p}")
     work = prime_work(p)
-    if check.d_symbols is None:
-        verdicts = [(None, check.worker(work))]
-    else:
-        verdicts = [({"d": d}, check.worker(work, d)) for d in _d_list(p, opts or {})
-                    if work.ctx.legendre(d) in check.d_symbols]
+    verdicts = [(params, check.worker(work, **(params or {})))
+                for params in _task_params(check, p, opts or {})]
     return [CheckResult(check.id, p, params, "pass" if ok else "fail", wit)
             for params, (ok, wit) in verdicts]
 
@@ -501,20 +528,6 @@ def code_version() -> str:
     source = b"".join(f.name.encode() + b"\0" + f.read_bytes()
                       for f in sorted(pkg.glob("*.py")))
     return importlib.util.source_hash(source).hex()
-
-
-def _cached_result(rec: dict) -> CheckResult:
-    """A cached result record as a CheckResult; TypeError unless its check_id
-    is a str, p an int, status pass, fail or skipped, params None or a dict,
-    and witness a dict of str to str."""
-    r = CheckResult.from_record(rec)
-    if not (type(r.check_id) is str and type(r.p) is int
-            and r.status in ("pass", "fail", "skipped")
-            and (r.params is None or type(r.params) is dict)
-            and type(r.witness) is dict
-            and all(type(v) is str for v in r.witness.values())):
-        raise TypeError(f"not a cached result: {rec!r}")
-    return r
 
 
 class ResultCache:
@@ -556,7 +569,7 @@ class ResultCache:
                 try:
                     version, task, results = rec["version"], rec["task"], rec["results"]
                     if version == self.version:
-                        self._records[task] = [_cached_result(r) for r in results]
+                        self._records[task] = [CheckResult.from_record(r) for r in results]
                 except (KeyError, TypeError):
                     raise ValueError(f"{self.path}: line {i + 1} is not a cache record") from None
 
@@ -766,6 +779,11 @@ def run(config: RunConfig, out=None) -> int:
                 if not valid:
                     raise ValueError(f"{cache.path}: a cached pass of {r.check_id} "
                                      f"at p = {r.p} fails re-validation")
+            if [(r.check_id, r.p, r.params) for r in cached] != [
+                    (check_id, p, params)
+                    for params in _task_params(CHECKS[check_id], p, opts)]:
+                raise ValueError(f"{cache.path}: the cached results of {check_id} "
+                                 f"at p = {p} do not match that task")
             results_by_task[idx] = cached
         else:
             pending.setdefault(p, []).append((idx, key, check_id))

@@ -69,13 +69,19 @@ def _factor_trial(m: int) -> list[int]:
     return out
 
 
+def _generates(g: int, p: int, factors: list[int]) -> bool:
+    """Whether g generates the units mod the prime p, given the distinct
+    prime factors of p - 1."""
+    return g % p != 0 and all(pow(g, (p - 1) // q, p) != 1 for q in factors)
+
+
 def find_generator(p: int) -> int:
     """Smallest generator of the multiplicative group mod p."""
     if p == 2:
         return 1
     factors = _factor_trial(p - 1)
     for g in range(2, p):
-        if all(pow(g, (p - 1) // q, p) != 1 for q in factors):
+        if _generates(g, p, factors):
             return g
     raise ValueError(f"no generator found for {p}")  # unreachable for prime p
 
@@ -100,14 +106,16 @@ class TwoSquare:
 class PrimeCtx:
     """A validated odd prime with its multiplicative structure precomputed.
 
-    symbols[x] is the Legendre symbol (x/p); dlog[x] the index of x base g
-    (dlog[0] = -1 sentinel).  decomp is present exactly when p = 1 (mod 4).
+    powers[t] is g^t mod p for t < p - 1, and dlog[x] the index t of x
+    (dlog[0] = -1 sentinel); symbols[x] is the Legendre symbol (x/p).
+    decomp is present exactly when p = 1 (mod 4).
     """
 
     p: int
     n: int
     cls: int
     g: int
+    powers: tuple[int, ...]
     dlog: tuple[int, ...]
     symbols: tuple[int, ...]
     decomp: TwoSquare | None
@@ -118,20 +126,21 @@ class PrimeCtx:
             raise ValueError(f"{p} is not an odd prime")
         if g is None:
             g = find_generator(p)
-        else:
-            factors = _factor_trial(p - 1)
-            if g % p == 0 or any(pow(g, (p - 1) // q, p) == 1 for q in factors):
-                raise ValueError(f"{g} does not generate the units mod {p}")
-        dlog = [-1] * p
+        elif not _generates(g, p, _factor_trial(p - 1)):
+            raise ValueError(f"{g} does not generate the units mod {p}")
+        powers, dlog = [1] * (p - 1), [-1] * p
         x = 1
         for t in range(p - 1):
-            dlog[x] = t
+            powers[t], dlog[x] = x, t
             x = x * g % p
         symbols = [0] * p
-        for r in range(1, p):
-            symbols[r] = 1 if dlog[r] % 2 == 0 else -1
+        for x in powers[::2]:               # the squares g^(2t)
+            symbols[x] = 1
+        for x in powers[1::2]:
+            symbols[x] = -1
         decomp = _two_square(p, g) if p % 4 == 1 else None
-        return cls(p, (p - 1) // 2, p % 4, g, tuple(dlog), tuple(symbols), decomp)
+        return cls(p, (p - 1) // 2, p % 4, g, tuple(powers), tuple(dlog), tuple(symbols),
+                   decomp)
 
     def legendre(self, x: int) -> int:
         return self.symbols[x % self.p]

@@ -336,6 +336,23 @@ def test_fourier_buffers_are_released_between_divisors():
         assert peak <= bound, (peak, bound)
 
 
+def test_circulant_order_helpers_match_a_pow_walk():
+    # _squares_coeffs and _square_roots slice ctx.powers; here each is rebuilt
+    # from pow(g, t, p), for the default generator and for another one (p = 3
+    # has no other)
+    for p in oracle_primes(3, 500):
+        g0 = PrimeCtx.for_prime(p).g
+        k = next((k for k in range(2, p - 1) if math.gcd(k, p - 1) == 1), 1)
+        for g in (g0, pow(g0, k, p)):
+            ctx = PrimeCtx.for_prime(p, g)
+            n = ctx.n
+            for d in (1, 2, 3, p - 1):
+                assert charsums._squares_coeffs(ctx, d) == [
+                    oracle_legendre(1 + d * pow(g, 2 * s, p), p) for s in range(n)], (p, g, d)
+            assert charsums._square_roots(ctx) == [
+                min(pow(g, u, p), p - pow(g, u, p)) for u in range(n)], (p, g)
+
+
 def test_det_squares_of_a_non_residue_builds_no_modulus(monkeypatch):
     # at p = 1 (mod 4), lambda_0 = sum_s ((1 + d g^(2s))/p) is 0 for a
     # non-residue d, so S(d,p) = 0 is known before any modulus is built

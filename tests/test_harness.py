@@ -844,6 +844,50 @@ def test_cache_revalidates_every_cached_pass(tmp_path, capsys):
                                 "fails re-validation\n")
 
 
+def test_cache_rejects_results_that_do_not_match_their_task(tmp_path, capsys):
+    # true passes filed under another task, or a task's results cut short,
+    # exit 2 before any output
+    cache = tmp_path / "c.jsonl"
+    for what, p, forge in (
+        # p = 13's results on the line of p = 5
+        ("jacobsthal", 5, lambda by_p: by_p[5].update(results=by_p[13]["results"])),
+        # p = 13's line without its d = 2 result
+        ("theorem-a", 13, lambda by_p: by_p[13].update(results=by_p[13]["results"][:1])),
+    ):
+        args = ["verify", "--what", what, "--pmax", "13", "--d", "1,2",
+                "--cache", str(cache)]
+        cache.unlink(missing_ok=True)
+        assert cli_main(args) == 0
+        capsys.readouterr()
+        by_p = {int(rec["task"].split("|")[1]): rec
+                for rec in map(json.loads, cache.read_text().splitlines())}
+        assert sorted(by_p) == [5, 13]
+        forge(by_p)
+        cache.write_text("".join(json.dumps(rec) + "\n" for rec in by_p.values()))
+        assert cli_main(args) == 2, what
+        captured = capsys.readouterr()
+        assert captured.out == "", what
+        assert captured.err == (f"error: {cache}: the cached results of {what} at p = {p} "
+                                "do not match that task\n")
+
+
+def test_cache_rejects_a_d_that_is_not_an_int(tmp_path, capsys):
+    # {"d": 2.0} and {"d": true} equal {"d": 2} and {"d": 1}, but print otherwise
+    cache = tmp_path / "c.jsonl"
+    args = ["verify", "--what", "sun-zero,sun-qr", "--pmax", "13", "--d", "1,2",
+            "--cache", str(cache)]
+    assert cli_main(args) == 0
+    capsys.readouterr()
+    text = cache.read_text()
+    for old, new in (('"d":2', '"d":2.0'), ('"d":1', '"d":true')):
+        lineno = text[:text.index(old)].count("\n") + 1
+        cache.write_text(text.replace(old, new, 1))
+        assert cli_main(args) == 2, new
+        captured = capsys.readouterr()
+        assert captured.out == "", new
+        assert captured.err == f"error: {cache}: line {lineno} is not a cache record\n"
+
+
 def test_cache_ends_a_last_line_that_lacks_its_newline(tmp_path, capsys):
     cache = tmp_path / "c.jsonl"
     args = ["verify", "--what", "jacobsthal", "--format", "json"]

@@ -262,6 +262,19 @@ def test_prime_ctx_structure():
         assert (ctx.decomp is not None) == (p % 4 == 1)
 
 
+def test_prime_ctx_powers_walk_the_generator():
+    # for the default generator and for another one, g^k with k prime to p - 1
+    # (p = 3 has no other)
+    for p in oracle_primes(3, 500):
+        g0 = find_generator(p)
+        k = next((k for k in range(2, p - 1) if math.gcd(k, p - 1) == 1), 1)
+        for g in (g0, pow(g0, k, p)):
+            ctx = PrimeCtx.for_prime(p, g)
+            assert len(ctx.powers) == p - 1, (p, g)
+            for t, x in enumerate(ctx.powers):
+                assert x == pow(g, t, p) and ctx.dlog[x] == t, (p, g, t)
+
+
 def test_prime_ctx_rejects_bad_input():
     with pytest.raises(ValueError):
         PrimeCtx.for_prime(15)
