@@ -30,7 +30,6 @@ import math
 import operator
 import sys
 from array import array
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from .exactla import IntPoly, _signed, det_exact
@@ -82,8 +81,7 @@ def _reduce_mod_cyclotomic(vec, m: int) -> tuple[int, ...]:
     return tuple(rem)
 
 
-@dataclass(frozen=True)
-class CyclotomicElt:
+class CyclotomicElt(NamedTuple):
     """Exact element of Z[zeta_m] as a length-m coefficient vector (zeta^t basis)."""
 
     order: int
@@ -198,8 +196,7 @@ def eigen_identity(ctx: PrimeCtx) -> EigenIdentity:
     return EigenIdentity(real, len(set(exps)) == n, first_bad_row)
 
 
-@dataclass(frozen=True)
-class EigenReport:
+class EigenReport(NamedTuple):
     p: int
     mode: str                                   # "exact" | "float"
     lambdas: tuple[float, ...]                  # real parts, index k = 1..n

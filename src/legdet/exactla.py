@@ -19,19 +19,23 @@ and evil_det Chapman's evil determinant det [((j-i)/p)].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .matrices import AffineMatrix
 from .ntcore import PrimeCtx
 
 
-@dataclass(frozen=True)
-class IntPoly:
+class IntPoly(NamedTuple):
     """Integer polynomial, coefficients lowest degree first, no trailing zeros:
     a value type that the routes return and the checks compare, with no
     arithmetic."""
 
     coeffs: tuple[int, ...]
+
+    def __add__(self, other):               # no tuple concatenation or repetition
+        return NotImplemented
+
+    __radd__ = __mul__ = __rmul__ = __add__
 
     @staticmethod
     def make(coeffs) -> "IntPoly":

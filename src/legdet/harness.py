@@ -19,7 +19,6 @@ on.  Results are always emitted in deterministic order.
 from __future__ import annotations
 
 import contextlib
-import csv
 import functools
 import importlib.util
 import json
@@ -30,8 +29,9 @@ import sys
 import threading
 import time
 from collections.abc import Callable
-from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
+from typing import NamedTuple
 
 from . import charsums, exactla, quadfield
 from .exactla import IntPoly
@@ -48,8 +48,7 @@ from .ntcore import (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     check_id: str
     p: int
     params: dict | None
@@ -426,8 +425,7 @@ def _revalidate_sun_qr(r: CheckResult) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """One identity check: the primes it covers, its default prime ceiling,
     the worker that gives its verdict for one prime, or for one prime and
     one d, the re-validator of its pass witnesses, and the values of (d/p)
@@ -597,14 +595,16 @@ class ResultCache:
             )
 
 
-@dataclass
-class RunConfig:
-    checks: tuple[str, ...] = CHECK_IDS
-    pmax: int | None = None                  # None: per-check defaults
-    d_list: list[int] | str | None = None    # "all": every d in 0..p-1
-    jobs: int = 1
-    fmt: str = "text"                        # json | csv | text
-    cache_path: str | None = None
+class RunConfig(SimpleNamespace):
+    """A run's options: assignable, compared and printed field by field."""
+
+    def __init__(self, checks: tuple[str, ...] = CHECK_IDS,
+                 pmax: int | None = None,                 # None: per-check defaults
+                 d_list: list[int] | str | None = None,   # "all": every d in 0..p-1
+                 jobs: int = 1, fmt: str = "text",        # fmt: json | csv | text
+                 cache_path: str | None = None):
+        super().__init__(checks=checks, pmax=pmax, d_list=d_list, jobs=jobs, fmt=fmt,
+                         cache_path=cache_path)
 
 
 def _task_key(check_id: str, p: int, opts: dict) -> str:
@@ -735,6 +735,8 @@ def _emit(result: CheckResult, fmt: str, out) -> None:
     if fmt == "json":
         out.write(result.to_json() + "\n")
     elif fmt == "csv":
+        import csv
+
         params = json.dumps(result.params, sort_keys=True) if result.params else ""
         wit = json.dumps(result.witness, separators=(",", ":"))
         csv.writer(out).writerow(

@@ -8,20 +8,18 @@ the constant part, the full entry being x + c).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ntcore import PrimeCtx
 
 
-@dataclass(frozen=True)
-class SignMatrix:
+class SignMatrix(NamedTuple):
     dim: int
     entries: tuple[tuple[int, ...], ...]
     tag: str
 
 
-@dataclass(frozen=True)
-class AffineMatrix:
+class AffineMatrix(NamedTuple):
     """Matrix with entries x + constants[i][j] for a formal variable x."""
 
     dim: int

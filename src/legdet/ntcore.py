@@ -9,7 +9,7 @@ across workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # The first 12 primes as Miller-Rabin bases: exact for all n below
 # psi_12 = 318,665,857,834,031,151,167,461, about 3.2 * 10^23 (Sorenson and
@@ -94,16 +94,14 @@ def is_perfect_square(v: int) -> int | None:
     return r if r * r == v else None
 
 
-@dataclass(frozen=True)
-class TwoSquare:
+class TwoSquare(NamedTuple):
     """The normalized decomposition p = a^2 + 4*b^2 with a odd, a = 1 (mod 4), b > 0."""
 
     a: int
     b: int
 
 
-@dataclass(frozen=True, eq=False)
-class PrimeCtx:
+class PrimeCtx(NamedTuple):
     """A validated odd prime with its multiplicative structure precomputed.
 
     powers[t] is g^t mod p for t < p - 1, and dlog[x] the index t of x
@@ -119,6 +117,8 @@ class PrimeCtx:
     dlog: tuple[int, ...]
     symbols: tuple[int, ...]
     decomp: TwoSquare | None
+    # equal only to itself and hashed by identity: no comparison walks the tables
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
     @classmethod
     def for_prime(cls, p: int, g: int | None = None) -> "PrimeCtx":

@@ -9,22 +9,20 @@ class number counts the cycles of reduced forms of discriminant p.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exactla import IntPoly
 from .ntcore import PrimeCtx
 
 
-@dataclass(frozen=True)
-class QuadUnit:
+class QuadUnit(NamedTuple):
     """(u + v sqrt(p))/2 with u = v (mod 2)."""
 
     u: int
     v: int
 
 
-@dataclass(frozen=True)
-class ClassData:
+class ClassData(NamedTuple):
     eps: QuadUnit      # fundamental unit > 1
     h: int             # class number
     eps_h: QuadUnit    # eps^h = a_p + b_p sqrt(p) with (u, v) = (2 a_p, 2 b_p)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 import tracemalloc
@@ -456,8 +455,8 @@ def test_row_identity_check_rejects_a_flipped_symbol_or_a_wrong_a():
         for x in read - {0}:
             sym = list(ctx.symbols)
             sym[x] = -sym[x]
-            assert not row_identity_check(dataclasses.replace(ctx, symbols=tuple(sym))), (p, x)
+            assert not row_identity_check(ctx._replace(symbols=tuple(sym))), (p, x)
         a, b = ctx.decomp.a, ctx.decomp.b
         for wrong in (a - 4, a + 4, -a):
-            bad = dataclasses.replace(ctx, decomp=TwoSquare(wrong, b))
+            bad = ctx._replace(decomp=TwoSquare(wrong, b))
             assert not row_identity_check(bad), (p, wrong)

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import functools
 import io
 import re
@@ -228,7 +227,7 @@ def test_revalidate_row_identity_recomputes_rows_1_and_n(monkeypatch):
     # sums of rows j = 1 and j = n
     [r] = run_check("row-identity", 29)
     real = PrimeCtx.for_prime(29)
-    forged = dataclasses.replace(real, decomp=dataclasses.replace(real.decomp, a=1))
+    forged = real._replace(decomp=real.decomp._replace(a=1))
 
     class ForgedCtx:
         for_prime = staticmethod(lambda p: forged)
@@ -350,7 +349,7 @@ def test_cache_ignores_a_line_of_another_code_version(tmp_path):
     for f in sorted(pkg.glob("*.py")):
         digest.update(f.name.encode())
         digest.update(f.read_bytes())
-    forged = [dataclasses.replace(r, status="fail").to_record()
+    forged = [r._replace(status="fail").to_record()
               for r in run_check("jacobsthal", 13)]
     cache = tmp_path / "results.jsonl"
     stale = json.dumps({"version": digest.hexdigest()[:12], "task": "jacobsthal|13|{}",
@@ -359,7 +358,8 @@ def test_cache_ignores_a_line_of_another_code_version(tmp_path):
     config = RunConfig(checks=("jacobsthal",), pmax=13, fmt="json")
     fresh, cached = io.StringIO(), io.StringIO()
     assert run(config, fresh) == 0
-    assert run(dataclasses.replace(config, cache_path=str(cache)), cached) == 0
+    assert run(RunConfig(checks=("jacobsthal",), pmax=13, fmt="json", cache_path=str(cache)),
+               cached) == 0
     assert cached.getvalue() == fresh.getvalue()
     lines = cache.read_text().splitlines(keepends=True)
     assert lines[0] == stale and len(lines) == 3       # p = 5 and p = 13 appended
@@ -729,7 +729,7 @@ def test_eigen_check_names_a_flipped_row(monkeypatch):
         rows = [list(row) for row in m.entries]
         j = next(j for j, c in enumerate(rows[6]) if c)
         rows[6][j] = -rows[6][j]                            # row 7
-        return dataclasses.replace(m, entries=tuple(map(tuple, rows)))
+        return m._replace(entries=tuple(map(tuple, rows)))
 
     monkeypatch.setattr(charsums, "squares_matrix", flipped)
     (r,) = run_check("eigen", 29)
@@ -968,6 +968,20 @@ def test_verify_and_det_leave_openssl_unloaded(tmp_path):
         f"                   '--jobs', j]) for c, j in zip({caches!r}, ('1', '2'))]\n"
         "    codes += [main(['det', '--matrix', m, '--p', '13']) for m in ('s', 'chapman')]\n"
         "print(*codes, *(m in sys.modules for m in ('hashlib', '_hashlib')))")
+    assert out.split() == ["1", "1", "0", "0", "False", "False"]
+
+
+def test_verify_and_det_start_without_dataclasses(tmp_path):
+    # the records are NamedTuples: no process compiles dataclass methods, and
+    # nothing loads dataclasses or the inspect it imports
+    out = _fresh_interpreter(
+        "import contextlib, io, sys; from legdet import harness; from legdet.cli import main\n"
+        "harness.FORK_COST_S, harness._cpu_count = 0, lambda: 2    # --jobs 2 forks\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(['verify', '--pmax', '5', '--format', 'json', '--cache',\n"
+        f"                   {str(tmp_path)!r} + '/jobs' + j, '--jobs', j]) for j in '12']\n"
+        "    codes += [main(['det', '--matrix', m, '--p', '13']) for m in ('s', 'chapman')]\n"
+        "print(*codes, *(m in sys.modules for m in ('dataclasses', 'inspect')))")
     assert out.split() == ["1", "1", "0", "0", "False", "False"]
 
 
