@@ -17,7 +17,7 @@ IDENTITY = EigenIdentity(real=True, vandermonde=True, first_bad_row=None)
 LAMBDA = CyclotomicElt(order=4, coeffs=(-1, 0, 0, 0))
 
 # (record, its repr, a record equal to it built anew, one field assigned in
-# the test below); each repr was printed by the dataclass records
+# the test below); the reprs are part of the library's printed output
 RECORDS = [
     (CTX.decomp, "TwoSquare(a=1, b=1)", TwoSquare(1, 1), "a"),
     (squares_matrix(CTX), "SignMatrix(dim=2, entries=((-1, 0), (0, -1)), tag='s(p=5,d=1)')",
