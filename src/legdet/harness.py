@@ -29,6 +29,7 @@ import sys
 import threading
 import time
 from collections.abc import Callable
+from itertools import compress
 from pathlib import Path
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -38,8 +39,8 @@ from .exactla import IntPoly
 from .ntcore import (
     PrimeCtx,
     _factor_trial,
+    euler_table,
     is_perfect_square,
-    is_prime,
     legendre,
     perm_sign_cycles,
     perm_sign_formula,
@@ -87,7 +88,16 @@ class CheckResult(NamedTuple):
 
 
 def primes_between(lo: int, hi: int) -> list[int]:
-    return [p for p in range(max(lo, 2), hi + 1) if is_prime(p)]
+    """The primes p with lo <= p <= hi, by one sieve of Eratosthenes to hi."""
+    if hi < 2:
+        return []
+    sieve = bytearray([1]) * (hi + 1)
+    sieve[:2] = b"\0\0"
+    for q in range(2, math.isqrt(hi) + 1):
+        if sieve[q]:
+            sieve[q * q::q] = bytes(len(range(q * q, hi + 1, q)))
+    lo = max(lo, 2)
+    return list(compress(range(lo, hi + 1), sieve[lo:]))
 
 
 def default_d_list(p: int) -> list[int]:
@@ -246,9 +256,12 @@ def _revalidate_conjecture_a(r: CheckResult) -> bool:
 
 
 def _check_lemma_sign(work: PrimeWork) -> Verdict:
+    """At every square d = j^2, j = 1..n, the rotation sign against
+    epsilon(d) = chi(j) from euler_table, which shares no code with it."""
     ctx, p = work.ctx, work.ctx.p
-    squares = (j * j % p for j in range(1, ctx.n + 1))
-    bad = [d for d in squares if perm_sign_rotation(ctx, d) != perm_sign_formula(ctx, d)]
+    chi = euler_table(p, ctx.n)
+    bad = [d for d, eps in zip((j * j % p for j in range(1, ctx.n + 1)), chi[1:])
+           if perm_sign_rotation(ctx, d) != eps]
     wit = {"qr_count": str(ctx.n), "mismatches": str(len(bad))}
     if bad:
         wit["first_bad_d"] = str(bad[0])
@@ -536,7 +549,10 @@ class ResultCache:
     line that is not an object holding version, task and results raises
     ValueError, as does a current-version line whose results are not a list
     of CheckResult records with fields of the right types.  A whole last
-    line that lacks its newline gets one before the next append."""
+    line that lacks its newline gets one before the next append.  The first
+    put opens the file, and the handle stays open until close; each put
+    writes and flushes its line, so an interrupted run keeps every task it
+    finished."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
@@ -544,6 +560,7 @@ class ResultCache:
         self._records: dict[str, list[CheckResult]] = {}
         self._torn_at: int | None = None     # byte offset of a torn last line
         self._unterminated = False           # the file does not end in a newline
+        self._fh = None                      # the append handle, open from the first put
         if self.path.exists():
             data = self.path.read_bytes()
             self._unterminated = data[-1:] not in (b"", b"\n")
@@ -577,22 +594,24 @@ class ResultCache:
     def put(self, task_key: str, results: list[CheckResult]) -> None:
         self._records[task_key] = results
         recs = [r.to_record() for r in results]
-        newline = ""
-        if self._torn_at is not None:
-            with self.path.open("r+b") as fh:
-                fh.truncate(self._torn_at)
-        elif self._unterminated:
-            newline = "\n"
-        self._torn_at, self._unterminated = None, False
-        with self.path.open("a") as fh:
-            fh.write(
-                newline
-                + json.dumps(
-                    {"version": self.version, "task": task_key, "results": recs},
-                    separators=(",", ":"),
-                )
-                + "\n"
-            )
+        line = json.dumps({"version": self.version, "task": task_key, "results": recs},
+                          separators=(",", ":")) + "\n"
+        if self._fh is None:
+            if self._torn_at is not None:
+                with self.path.open("r+b") as fh:
+                    fh.truncate(self._torn_at)
+            elif self._unterminated:
+                line = "\n" + line
+            self._torn_at, self._unterminated = None, False
+            self._fh = self.path.open("a", encoding="utf-8")
+        self._fh.write(line)
+        self._fh.flush()
+
+    def close(self) -> None:
+        """Close the append handle, if a put opened it."""
+        if self._fh is not None:
+            self._fh.close()
+            self._fh = None
 
 
 class RunConfig(SimpleNamespace):
@@ -802,9 +821,13 @@ def run(config: RunConfig, out=None) -> int:
     # and no more workers than there are CPUs to run them
     can_fork = hasattr(os, "fork") and threading.active_count() == 1
     done = _run_jobs(jobs, min(config.jobs, _cpu_count()) if can_fork else 1)
-    with contextlib.closing(done):
-        for idx, computed in done:
-            finish(jobs[idx][0], computed)
+    try:
+        with contextlib.closing(done):
+            for idx, computed in done:
+                finish(jobs[idx][0], computed)
+    finally:
+        if cache:
+            cache.close()
 
     if config.fmt == "csv":
         out.write("check_id,p,params,status,witness\n")

@@ -206,7 +206,7 @@ def perm_sign_rotation(ctx: PrimeCtx, d: int) -> int:
     """
     p = ctx.p
     d %= p
-    if ctx.legendre(d) != 1:
+    if ctx.symbols[d] != 1:
         raise ValueError(f"d={d} is not a quadratic residue mod {p}")
     return -1 if (ctx.n - math.gcd(ctx.n, ctx.dlog[d] // 2)) % 2 else 1
 
@@ -214,9 +214,32 @@ def perm_sign_rotation(ctx: PrimeCtx, d: int) -> int:
 def perm_sign_formula(ctx: PrimeCtx, d: int) -> int:
     """Sign of the same permutation, for p = 1 (mod 4): epsilon(d), which
     reads d^((p-1)/4) mod p."""
-    d %= ctx.p
-    if ctx.legendre(d) != 1:
-        raise ValueError(f"d={d} is not a quadratic residue mod {ctx.p}")
+    p = ctx.p
+    d %= p
+    if ctx.symbols[d] != 1:
+        raise ValueError(f"d={d} is not a quadratic residue mod {p}")
     if ctx.cls != 1:
-        raise ValueError(f"p={ctx.p} must be 1 (mod 4)")
-    return ctx.epsilon(d)
+        raise ValueError(f"p={p} must be 1 (mod 4)")
+    return -1 if pow(d, (p - 1) // 4, p) == p - 1 else 1
+
+
+def euler_table(p: int, n: int) -> list[int]:
+    """chi[j] = j^((p-1)/2) mod p, as +1 or -1, for j = 1..n < p; chi[0] = 0.
+
+    Euler's criterion gives each entry; pow computes it only at prime j, and
+    a composite j = q*i with q its smallest prime factor, from a sieve to n,
+    takes chi(q) chi(i), since j -> j^((p-1)/2) is multiplicative.  Nothing
+    here reads a generator, dlog, powers or symbols.  For p = 1 (mod 4),
+    epsilon(j^2) = chi(j) because (j^2)^((p-1)/4) = j^((p-1)/2): that is
+    Euler's criterion read at j, not the sign lemma restated.
+    """
+    spf = [0] * (n + 1)                     # smallest prime factor; 0: 1 or a prime
+    # q descends, so the last q written at a composite j is its least prime factor
+    for q in range(math.isqrt(n), 1, -1):
+        spf[q * q::q] = [q] * len(range(q * q, n + 1, q))
+    e = (p - 1) // 2
+    chi = [0] * (n + 1)
+    for j in range(1, n + 1):
+        q = spf[j]
+        chi[j] = chi[q] * chi[j // q] if q else (1 if pow(j, e, p) == 1 else -1)
+    return chi

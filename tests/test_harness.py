@@ -1,3 +1,4 @@
+import bisect
 import csv
 import functools
 import io
@@ -37,7 +38,7 @@ from legdet.harness import (
 )
 from legdet.matrices import (carlitz_matrix, chapman_matrix, squares_matrix,
                              squares_star_matrix)
-from legdet.ntcore import PrimeCtx
+from legdet.ntcore import PrimeCtx, is_prime
 
 
 def test_primes_between():
@@ -65,6 +66,21 @@ def test_primes_between():
     for check_id, (pmax, primes) in registry.items():
         assert default_pmax(check_id) == pmax, check_id
         assert applicable_primes(check_id, 13) == primes, check_id
+
+
+def test_primes_between_is_the_miller_rabin_filter():
+    # one sieve per range gives the primes that is_prime keeps
+    mr = [m for m in range(3001) if is_prime(m)]
+    for hi in range(-2, 3001):
+        for lo in (0, 1, 2, 3, 50):
+            want = mr[bisect.bisect_left(mr, lo):bisect.bisect_right(mr, hi)]
+            assert primes_between(lo, hi) == want, (lo, hi)
+    assert primes_between(0, 1) == primes_between(-5, -1) == []
+    assert primes_between(3, 2) == primes_between(50, 49) == primes_between(100, 7) == []
+    for check_id, check in harness.CHECKS.items():
+        assert applicable_primes(check_id, check.pmax) == [
+            q for q in range(3, check.pmax + 1)
+            if is_prime(q) and (check.cls4 is None or q % 4 == check.cls4)], check_id
 
 
 def test_default_d_list_deterministic():
@@ -263,6 +279,22 @@ def test_sign_workers_fail_where_the_rotation_sign_is_wrong(monkeypatch):
     # neither re-validator takes its sign from the rotation
     assert lemma.status == theorem.status == "pass"
     assert revalidate(lemma) and revalidate(theorem)
+
+
+def test_lemma_sign_fails_at_a_wrong_euler_table_entry(monkeypatch):
+    # the formula side is the table: one wrong chi(j) is one mismatch, at
+    # d = j^2 mod p, found in the order j = 1..n
+    real = harness.euler_table
+
+    def planted(p, n):
+        chi = real(p, n)
+        chi[9] = -chi[9]
+        return chi
+
+    monkeypatch.setattr(harness, "euler_table", planted)
+    [r] = run_check("lemma-sign", 29)
+    assert r.status == "fail"
+    assert r.witness == {"qr_count": "14", "mismatches": "1", "first_bad_d": str(81 % 29)}
 
 
 def test_run_check_rejects_a_prime_outside_the_class():
@@ -983,6 +1015,79 @@ def test_verify_and_det_start_without_dataclasses(tmp_path):
         "    codes += [main(['det', '--matrix', m, '--p', '13']) for m in ('s', 'chapman')]\n"
         "print(*codes, *(m in sys.modules for m in ('dataclasses', 'inspect')))")
     assert out.split() == ["1", "1", "0", "0", "False", "False"]
+
+
+def test_verify_loads_no_module_past_the_cli_and_its_parser(tmp_path):
+    # a start-up tripwire: once legdet.cli is imported and argparse has built
+    # its parser (its gettext loads locale), a verify run of no prime and a
+    # scalar run, both through a cache, import nothing more
+    cache = str(tmp_path / "c.jsonl")
+    out = _fresh_interpreter(
+        "import contextlib, io, sys; from legdet import cli\n"
+        "cli._parse_args(['verify'])\n"
+        "before = set(sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [cli.main(['verify', '--pmax', '2', '--cache', {cache!r}]),\n"
+        "             cli.main(['verify', '--what', 'lemma-sign,jacobsthal,row-identity',\n"
+        f"                       '--pmax', '50', '--cache', {cache!r}])]\n"
+        "print(*codes, sorted(set(sys.modules) - before))")
+    assert out.split() == ["0", "0", "[]"]
+
+
+def test_cache_handle_writes_each_task_once_and_is_closed(tmp_path):
+    # one handle per run, serial and forked, also when the run raises: each
+    # task's line is written once, the file ends in a newline, and no file is
+    # left for the garbage collector (a ResourceWarning is an error here)
+    out = _fresh_interpreter(
+        "import gc, io, sys; from legdet import harness\n"
+        "seen = []\n"
+        "sys.unraisablehook = lambda u: seen.append(u.exc_type.__name__)\n"
+        "harness.FORK_COST_S, harness._cpu_count = 0, lambda: 2    # --jobs 2 forks\n"
+        "real = harness.run_check\n"
+        "def failing(check_id, p, opts=None):\n"
+        "    if p == 13:\n"
+        "        raise ArithmeticError(p)\n"
+        "    return real(check_id, p, opts)\n"
+        "for jobs in (1, 2):\n"
+        "    for name, run_check in (('done', real), ('raised', failing)):\n"
+        "        harness.run_check = run_check\n"
+        "        config = harness.RunConfig(checks=('corollary-a', 'jacobsthal'), pmax=29,\n"
+        f"            jobs=jobs, fmt='json', cache_path={str(tmp_path)!r} + f'/{{name}}{{jobs}}')\n"
+        "        try:\n"
+        "            print(harness.run(config, io.StringIO()))\n"
+        "        except ArithmeticError:\n"
+        "            print('raised')\n"
+        "        gc.collect()\n"
+        "print(seen)",
+        PYTHONWARNINGS="error::ResourceWarning")
+    assert out.split() == ["0", "raised", "0", "raised", "[]"]
+    tasks = {f"{c}|{p}|{{}}" for c in ("corollary-a", "jacobsthal") for p in (5, 13, 17, 29)}
+    for jobs in (1, 2):
+        for name in ("done", "raised"):
+            text = (tmp_path / f"{name}{jobs}").read_text()
+            written = [json.loads(line)["task"] for line in text.splitlines()]
+            assert text.endswith("\n") and len(set(written)) == len(written), (name, jobs)
+            if name == "done":
+                assert set(written) == tasks, jobs
+            else:
+                assert {"corollary-a|29|{}", "jacobsthal|29|{}"} <= set(written) < tasks
+
+
+def test_cache_flushes_each_line_through_one_handle(tmp_path):
+    from legdet.harness import ResultCache
+
+    path = tmp_path / "c.jsonl"
+    cache = ResultCache(path)
+    try:
+        for i in (1, 2):
+            cache.put(f"t{i}", [])
+            assert path.read_text().count("\n") == i      # on disk before close
+        handle = cache._fh
+        assert not handle.closed
+    finally:
+        cache.close()
+    assert handle.closed
+    cache.close()                                       # a second close does nothing
 
 
 def test_code_version_is_the_same_under_every_hash_seed():

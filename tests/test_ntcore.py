@@ -21,6 +21,7 @@ from legdet.ntcore import (
     PrimeCtx,
     TwoSquare,
     _two_square,
+    euler_table,
     find_generator,
     is_perfect_square,
     is_prime,
@@ -187,6 +188,23 @@ def test_perm_sign_cycles_equals_formula():
         ctx = PrimeCtx.for_prime(p)
         for d in sorted(oracle_qr_set(p)):
             assert perm_sign_cycles(ctx, d) == perm_sign_formula(ctx, d), (p, d)
+
+
+def test_euler_table_is_epsilon_of_j_squared():
+    # epsilon(j^2) = chi(j) is Euler's criterion: the table lemma-sign reads
+    # its formula side from equals perm_sign_formula at every square j^2
+    for p in oracle_primes(5, 1999, cls4=1):
+        ctx = PrimeCtx.for_prime(p)
+        chi = euler_table(p, ctx.n)
+        assert len(chi) == ctx.n + 1 and chi[0] == 0, p
+        assert chi[1:] == [perm_sign_formula(ctx, j * j % p) for j in range(1, ctx.n + 1)], p
+
+
+def test_euler_table_is_the_legendre_symbol():
+    # in both classes mod 4, and past n for the sieve's composite entries
+    for p in oracle_primes(3, 499):
+        for n in ((p - 1) // 2, p - 1):
+            assert euler_table(p, n) == [0] + [oracle_legendre(j, p) for j in range(1, n + 1)]
 
 
 def test_perm_sign_rejects_nonresidue():
