@@ -13,7 +13,8 @@ that _task_params gives their task.  The checks of one prime share its
 PrimeWork, so run() hands out one job per prime, largest first; with --jobs
 it forks worker processes for the jobs left once the run has shown that they
 can pay for the fork, and worker w of k runs every k-th of them from the w-th
-on.  Results are always emitted in deterministic order.
+on; the run reads their results in job order.  Results are always emitted in
+deterministic order.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from . import charsums, exactla, quadfield
 from .exactla import IntPoly
 from .ntcore import (
     PrimeCtx,
-    _factor_trial,
     euler_table,
     is_perfect_square,
     legendre,
@@ -57,13 +57,7 @@ class CheckResult(NamedTuple):
     witness: dict[str, str]
 
     def to_record(self) -> dict:
-        return {
-            "check_id": self.check_id,
-            "p": self.p,
-            "params": self.params,
-            "status": self.status,
-            "witness": self.witness,
-        }
+        return self._asdict()
 
     def to_json(self) -> str:
         return json.dumps(self.to_record(), separators=(",", ":"))
@@ -269,23 +263,14 @@ def _check_lemma_sign(work: PrimeWork) -> Verdict:
 
 
 def _revalidate_lemma_sign(r: CheckResult) -> bool:
-    """qr_count = (p-1)/2, and at every square d the sign from ord(d) equals
-    the formula's.  The cycles of x -> dx are the cosets of <d>, n / ord(d)
-    of them; ord(d) divides n, and comes from n's prime factors q by
-    dividing e = n by q while d^(e/q) = 1, with neither dlog nor a walk."""
+    """qr_count = (p-1)/2, and at every square d the sign from ord(d)
+    (perm_sign_cycles, which reads no dlog) equals the formula's."""
     w, ctx = r.witness, PrimeCtx.for_prime(r.p)
     p, n = ctx.p, ctx.n
     if int(w["qr_count"]) != n or int(w["mismatches"]) != 0:
         return False
-    factors = _factor_trial(n)
-    for d in (j * j % p for j in range(1, n + 1)):
-        order = n
-        for q in factors:
-            while order % q == 0 and pow(d, order // q, p) == 1:
-                order //= q
-        if (-1 if (n - n // order) % 2 else 1) != perm_sign_formula(ctx, d):
-            return False
-    return True
+    return all(perm_sign_cycles(ctx, d) == perm_sign_formula(ctx, d)
+               for d in (j * j % p for j in range(1, n + 1)))
 
 
 def _check_eigen(work: PrimeWork) -> Verdict:
@@ -655,44 +640,27 @@ def _run_job(job) -> list[list[CheckResult]]:
     return [run_check(check_id, p, opts) for check_id in check_ids]
 
 
-def _serve_jobs(jobs: list, first: int, step: int, replies) -> None:
-    """A forked worker's loop: run jobs first, first + step, first + 2 step,
-    ... in turn and pickle (True, results) to replies after each; if a job
-    raises, pickle (False, exception) and stop.  An interrupt ends the loop."""
-    import pickle
-
-    for job in jobs[first::step]:
-        try:
-            reply = (True, _run_job(job))
-        except Exception as exc:
-            reply = (False, exc)
-        pickle.dump(reply, replies, pickle.HIGHEST_PROTOCOL)
-        replies.flush()
-        if not reply[0]:
-            return
-
-
 def _fork_jobs(jobs: list, workers: int):
-    """Run the jobs on `workers` forked processes; yield (index, results) as
-    each job finishes.
+    """Run the jobs on `workers` forked processes; yield (index, results) for
+    each job, in the order of the list.
 
     Worker w of k runs jobs w, w + k, w + 2k, ... of the list, in that order,
-    and pickles each result back over its own pipe; the parent knows the
-    index each pipe owes next.  A pipe's buffered reader may take in a later
-    reply with the one it reads; that reply is read at the worker's next
-    write or at its exit, so it can come one job late but never hangs.  A
-    worker leaves only by os._exit, so it never flushes the parent's
-    buffered output or runs its exit handlers.  An exception raised by a job
-    is re-raised here, and a worker that dies raises ChildProcessError, once
-    every worker has been killed and reaped.
+    and pickles (True, results) for each back over its own pipe, or (False,
+    exception) for a job that raises, and then stops; an interrupt ends it
+    too.  So job i is the next reply of worker i mod k: the parent reads the
+    replies in job order, one blocking load each, and raises the first error
+    of the list, as a serial run does.  A worker runs ahead of the parent
+    only as far as its pipe buffer (64 KiB on Linux) holds its replies.  It
+    leaves only by os._exit, so it never flushes the parent's buffered
+    output or runs its exit handlers.  A job's exception, or the
+    ChildProcessError of a worker that dies, is raised once every worker has
+    been killed and reaped.
     """
     import pickle
-    import select
     import signal
 
     pids: list[int] = []
     files: list = []                            # every pipe end, as a file
-    owed: dict = {}                             # reply file -> (pid, index it owes next)
     try:
         for first in range(workers):
             reply_r, reply_w = os.pipe()
@@ -704,26 +672,30 @@ def _fork_jobs(jobs: list, workers: int):
                 try:
                     for f in files[:-1]:        # all but this worker's own end
                         f.close()
-                    _serve_jobs(jobs, first, workers, theirs)
+                    for job in jobs[first::workers]:
+                        try:
+                            reply = (True, _run_job(job))
+                        except Exception as exc:
+                            reply = (False, exc)
+                        pickle.dump(reply, theirs, pickle.HIGHEST_PROTOCOL)
+                        theirs.flush()
+                        if not reply[0]:
+                            break
                     code = 0
                 finally:
                     os._exit(code)
             pids.append(pid)
             theirs.close()
-            owed[ours] = (pid, first)
-        while owed:
-            for replies in select.select(list(owed), [], [])[0]:
-                pid, idx = owed.pop(replies)
-                try:
-                    ok, value = pickle.load(replies)
-                except (EOFError, pickle.UnpicklingError):
-                    raise ChildProcessError(
-                        f"worker {pid} exited during the job of p = {jobs[idx][0]}") from None
-                if not ok:
-                    raise value
-                if idx + workers < len(jobs):
-                    owed[replies] = (pid, idx + workers)
-                yield idx, value
+        for idx, job in enumerate(jobs):
+            w = idx % workers
+            try:
+                ok, value = pickle.load(files[2 * w])  # worker w's reply end
+            except (EOFError, pickle.UnpicklingError):
+                raise ChildProcessError(
+                    f"worker {pids[w]} exited during the job of p = {job[0]}") from None
+            if not ok:
+                raise value
+            yield idx, value
     finally:
         for f in files:
             f.close()
@@ -780,43 +752,33 @@ def run(config: RunConfig, out=None) -> int:
     out = out or sys.stdout
     cache = ResultCache(config.cache_path) if config.cache_path else None
     opts = {"d_list": config.d_list}
-    tasks = []
+    # every task's results, in task order; None until computed
+    results: dict[tuple[str, int], list[CheckResult] | None] = {}
+    pending: dict[int, list[str]] = {}                  # p -> the checks it runs
     for check_id in dict.fromkeys(config.checks):       # each check once
         pmax = config.pmax if config.pmax is not None else default_pmax(check_id)
         for p in applicable_primes(check_id, pmax):
-            tasks.append((check_id, p))
-
-    results_by_task: dict[int, list[CheckResult]] = {}
-    pending: dict[int, list[tuple[int, str, str]]] = {}    # p -> (idx, key, check)
-    for idx, (check_id, p) in enumerate(tasks):
-        key = _task_key(check_id, p, opts)
-        cached = cache.get(key) if cache else None
-        if cached is not None:
-            for r in cached:
-                try:
-                    valid = revalidate(r)
-                except (LookupError, TypeError, ValueError, ArithmeticError):
-                    valid = False           # a witness that is not the check's
-                if not valid:
-                    raise ValueError(f"{cache.path}: a cached pass of {r.check_id} "
-                                     f"at p = {r.p} fails re-validation")
-            if [(r.check_id, r.p, r.params) for r in cached] != [
-                    (check_id, p, params)
-                    for params in _task_params(CHECKS[check_id], p, opts)]:
-                raise ValueError(f"{cache.path}: the cached results of {check_id} "
-                                 f"at p = {p} do not match that task")
-            results_by_task[idx] = cached
-        else:
-            pending.setdefault(p, []).append((idx, key, check_id))
-
-    def finish(p: int, computed: list[list[CheckResult]]) -> None:
-        for (idx, key, _), results in zip(pending[p], computed):
-            results_by_task[idx] = results
-            if cache:
-                cache.put(key, results)
+            cached = cache.get(_task_key(check_id, p, opts)) if cache else None
+            if cached is not None:
+                for r in cached:
+                    try:
+                        valid = revalidate(r)
+                    except (LookupError, TypeError, ValueError, ArithmeticError):
+                        valid = False       # a witness that is not the check's
+                    if not valid:
+                        raise ValueError(f"{cache.path}: a cached pass of {r.check_id} "
+                                         f"at p = {r.p} fails re-validation")
+                if [(r.check_id, r.p, r.params) for r in cached] != [
+                        (check_id, p, params)
+                        for params in _task_params(CHECKS[check_id], p, opts)]:
+                    raise ValueError(f"{cache.path}: the cached results of {check_id} "
+                                     f"at p = {p} do not match that task")
+            else:
+                pending.setdefault(p, []).append(check_id)
+            results[check_id, p] = cached
 
     # one job per prime, largest first: its checks share one PrimeWork
-    jobs = [(p, [c for _, _, c in pending[p]], opts) for p in sorted(pending, reverse=True)]
+    jobs = [(p, pending[p], opts) for p in sorted(pending, reverse=True)]
     # fork where it exists (not on Windows) and is safe: no other thread runs;
     # and no more workers than there are CPUs to run them
     can_fork = hasattr(os, "fork") and threading.active_count() == 1
@@ -824,7 +786,11 @@ def run(config: RunConfig, out=None) -> int:
     try:
         with contextlib.closing(done):
             for idx, computed in done:
-                finish(jobs[idx][0], computed)
+                p, check_ids, _ = jobs[idx]
+                for check_id, task_results in zip(check_ids, computed):
+                    results[check_id, p] = task_results
+                    if cache:
+                        cache.put(_task_key(check_id, p, opts), task_results)
     finally:
         if cache:
             cache.close()
@@ -832,8 +798,8 @@ def run(config: RunConfig, out=None) -> int:
     if config.fmt == "csv":
         out.write("check_id,p,params,status,witness\n")
     counts = {"pass": 0, "fail": 0, "skipped": 0}
-    for idx in range(len(tasks)):
-        for result in results_by_task[idx]:
+    for task_results in results.values():
+        for result in task_results:
             counts[result.status] += 1
             _emit(result, config.fmt, out)
 

@@ -8,6 +8,7 @@ across workers.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -54,8 +55,10 @@ def legendre(x: int, p: int) -> int:
     return 1 if pow(x, (p - 1) // 2, p) == 1 else -1
 
 
-def _factor_trial(m: int) -> list[int]:
-    """Distinct prime factors by trial division (fine at desk scale)."""
+@functools.lru_cache(maxsize=128)
+def _factor_trial(m: int) -> tuple[int, ...]:
+    """Distinct prime factors by trial division (fine at desk scale); the
+    last 128 are kept, so each prime's n and p - 1 are factored once."""
     out = []
     d = 2
     while d * d <= m:
@@ -66,10 +69,10 @@ def _factor_trial(m: int) -> list[int]:
         d += 1 if d == 2 else 2
     if m > 1:
         out.append(m)
-    return out
+    return tuple(out)
 
 
-def _generates(g: int, p: int, factors: list[int]) -> bool:
+def _generates(g: int, p: int, factors: tuple[int, ...]) -> bool:
     """Whether g generates the units mod the prime p, given the distinct
     prime factors of p - 1."""
     return g % p != 0 and all(pow(g, (p - 1) // q, p) != 1 for q in factors)
@@ -183,18 +186,19 @@ def perm_sign_cycles(ctx: PrimeCtx, d: int) -> int:
 
     The n residues form a group and d lies in it, so the cycle through x is
     the coset x<d>: every cycle has length ord(d), and there are n / ord(d)
-    of them.  Walking the one cycle through 1 finds ord(d); the sign is
-    (-1)^(n - n / ord(d)).
+    of them; the sign is (-1)^(n - n / ord(d)).  ord(d) divides n, and comes
+    from n's prime factors q by dividing e = n by q while d^(e/q) = 1, with
+    neither dlog nor a walk.
     """
-    p = ctx.p
+    p, n = ctx.p, ctx.n
     d %= p
-    if ctx.legendre(d) != 1:
+    if ctx.symbols[d] != 1:
         raise ValueError(f"d={d} is not a quadratic residue mod {p}")
-    order, x = 1, d
-    while x != 1:
-        x = x * d % p
-        order += 1
-    return -1 if (ctx.n - ctx.n // order) % 2 else 1
+    order = n
+    for q in _factor_trial(n):
+        while order % q == 0 and pow(d, order // q, p) == 1:
+            order //= q
+    return -1 if (n - n // order) % 2 else 1
 
 
 def perm_sign_rotation(ctx: PrimeCtx, d: int) -> int:

@@ -6,10 +6,12 @@ import re
 import itertools
 import json
 import os
+import pickle
 import shutil
 import subprocess
 import sys
 import threading
+import time
 import types
 from pathlib import Path
 
@@ -639,6 +641,59 @@ def test_forked_job_error_is_raised_after_every_worker_is_reaped(monkeypatch):
         os.waitpid(-1, os.WNOHANG)
 
 
+def _fails_at_61_late_and_at_53_at_once(check_id, p, opts=None):
+    if p == 61:
+        time.sleep(0.5)
+    if p in (53, 61):
+        raise ArithmeticError(f"planted at p = {p}")
+    return run_check(check_id, p, opts)
+
+
+@pytest.mark.usefixtures("fork_at_once")
+def test_forked_run_raises_the_first_error_of_a_serial_run(monkeypatch):
+    # the first job, p = 61, fails late on one worker, and the second, p = 53,
+    # fails at once on the other: a forked run raises p = 61's error, as a
+    # serial run does, not the one that arrives first
+    monkeypatch.setattr(harness, "run_check", _fails_at_61_late_and_at_53_at_once)
+    forks = _counting(monkeypatch, os, "fork")
+    errors = []
+    for jobs in (1, 2):
+        with pytest.raises(ArithmeticError) as info:
+            run(RunConfig(checks=("jacobsthal",), pmax=61, fmt="json", jobs=jobs),
+                io.StringIO())
+        errors.append(str(info.value))
+    assert errors == ["planted at p = 61"] * 2
+    assert len(forks) == 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.usefixtures("fork_at_once")
+def test_forked_replies_larger_than_a_pipe_buffer_match_serial(monkeypatch):
+    # theorem-a at every d from p = 257 on pickles more than a Linux pipe
+    # holds (64 KiB) for one prime: its worker blocks until the parent reads
+    # it, in job order, and the output is still the serial run's
+    reply_bytes = []
+    real = harness._run_job
+
+    def measured(job):
+        results = real(job)
+        reply_bytes.append(len(pickle.dumps((True, results), pickle.HIGHEST_PROTOCOL)))
+        return results
+
+    monkeypatch.setattr(harness, "_run_job", measured)
+    config = RunConfig(checks=("theorem-a", "sun-zero", "sun-qr"), pmax=269,
+                       d_list="all", fmt="json")
+    serial, forked = io.StringIO(), io.StringIO()
+    run(config, serial)
+    assert max(reply_bytes) > 65_536
+    config.jobs = 2
+    count = len(reply_bytes)
+    run(config, forked)
+    assert len(reply_bytes) == count            # every job ran in a worker
+    assert forked.getvalue() == serial.getvalue()
+
+
 def _dies_at_13(check_id, p, opts=None):
     if p == 13:
         os._exit(3)
@@ -1032,6 +1087,24 @@ def test_verify_loads_no_module_past_the_cli_and_its_parser(tmp_path):
         f"                       '--pmax', '50', '--cache', {cache!r}])]\n"
         "print(*codes, sorted(set(sys.modules) - before))")
     assert out.split() == ["0", "0", "[]"]
+
+
+def test_forked_verify_loads_only_pickle_and_signal(tmp_path):
+    # the start-up tripwire for a forked --jobs 2 run: past the CLI and its
+    # parser, the workers and their replies load pickle and signal, no more
+    cache = str(tmp_path / "c.jsonl")
+    out = _fresh_interpreter(
+        "import contextlib, io, sys; from legdet import cli, harness\n"
+        "harness.FORK_COST_S, harness._cpu_count = 0, lambda: 2    # --jobs 2 forks\n"
+        "cli._parse_args(['verify'])\n"
+        "before = set(sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['verify', '--what', 'lemma-sign,jacobsthal,row-identity',\n"
+        f"                     '--pmax', '50', '--jobs', '2', '--cache', {cache!r}])\n"
+        "print(code, *sorted(set(sys.modules) - before))")
+    code, *loaded = out.split()
+    assert code == "0" and "pickle" in loaded
+    assert set(loaded) <= {"pickle", "_pickle", "_compat_pickle", "signal"}, loaded
 
 
 def test_cache_handle_writes_each_task_once_and_is_closed(tmp_path):
